@@ -138,19 +138,25 @@ int main(int argc, char** argv) try {
 
   // Ranks curve: the same fixed partition spread across SPMD ranks of the
   // distributed driver (one lane per rank, so the concurrency is purely
-  // rank-driven), rank 0 ingesting and broadcasting. The last-chunk
+  // rank-driven), rank 0 ingesting and scattering. The last-chunk
   // z-scores must stay bitwise identical to the single-process runs above.
+  // Every rank's communicator byte counter is summed per run: scatterv
+  // ships each non-root only its owned rows — O(P*T) payload per chunk
+  // regardless of R — plus the merge traffic.
   std::printf("\ndistributed ranks (1 lane per rank):\n");
   std::vector<ShardResult> rank_results;
   bool rank_invariant = true;
+  const std::size_t wire_ranks = 4;
+  std::uint64_t wire_total = 0;
   for (const std::size_t rank_count : {std::size_t{1}, std::size_t{2},
-                                       std::size_t{4}}) {
+                                       wire_ranks}) {
     ShardResult result;
     result.shards = rank_count;
     double total_seconds = 0.0;
     for (std::size_t rep = 0; rep < repeats; ++rep) {
       dist::World world(static_cast<int>(rank_count));
       std::vector<double> z;
+      std::vector<std::uint64_t> wire_per_rank(rank_count, 0);
       WallTimer timer;
       world.run([&](dist::Communicator& comm) {
         core::AssessorConfig config;
@@ -164,12 +170,17 @@ int main(int argc, char** argv) try {
         core::CollectingSink sink;
         assessor.run_until(comm.rank() == 0 ? &*source : nullptr, sink,
                            core::StopCondition{});
+        wire_per_rank[static_cast<std::size_t>(comm.rank())] =
+            comm.wire_bytes();
         if (comm.rank() == 0) z = sink.snapshots().back().zscores.zscores;
       });
       total_seconds += timer.seconds();
       if (rep + 1 == repeats) {
         for (std::size_t i = 0; i < z.size(); ++i) {
           if (z[i] != reference_z[i]) rank_invariant = false;
+        }
+        if (rank_count == wire_ranks) {
+          for (const std::uint64_t b : wire_per_rank) wire_total += b;
         }
       }
     }
@@ -185,62 +196,11 @@ int main(int argc, char** argv) try {
   std::printf("rank-count invariant vs single-process: %s\n",
               rank_invariant ? "yes" : "NO");
 
-  // Wire-bytes curve: the same distributed run under the two root-fed
-  // delivery modes, summing every rank's communicator byte counter.
-  // Broadcast ships the full P x T chunk to every non-root — O(P*T*R) per
-  // chunk; scatterv ships each non-root only its owned rows — O(P*T) total
-  // regardless of R. The merge traffic is identical, so the gate below
-  // checks the totals differ by at least the payload saving.
-  std::printf("\nwire bytes per ingestion mode (4 ranks):\n");
-  const std::size_t wire_ranks = 4;
-  const std::uint64_t stream_bytes =
-      static_cast<std::uint64_t>(sensors) * total * sizeof(double);
-  std::uint64_t wire_totals[2] = {0, 0};
-  bool wire_invariant = true;
-  for (int mode_index = 0; mode_index < 2; ++mode_index) {
-    const core::IngestMode mode = mode_index == 0
-                                      ? core::IngestMode::Broadcast
-                                      : core::IngestMode::Scatterv;
-    dist::World world(static_cast<int>(wire_ranks));
-    std::vector<std::uint64_t> per_rank(wire_ranks, 0);
-    std::vector<double> z;
-    world.run([&](dist::Communicator& comm) {
-      core::AssessorConfig config;
-      config.pipeline_options.imrdmd.mrdmd.max_levels = 4;
-      config.pipeline_options.imrdmd.mrdmd.dt = 15.0;
-      config.pipeline_options.baseline = {40.0, 60.0};
-      config.sharded(groups, 1).sensors(sensors).distributed(comm);
-      config.ingest_options.with_mode(mode);
-      core::Assessor assessor(config);
-      std::optional<core::MatrixChunkSource> source;
-      if (comm.rank() == 0) source.emplace(data, initial, chunk);
-      comm.reset_wire_bytes();
-      core::CollectingSink sink;
-      assessor.run_until(comm.rank() == 0 ? &*source : nullptr, sink,
-                         core::StopCondition{});
-      per_rank[static_cast<std::size_t>(comm.rank())] = comm.wire_bytes();
-      if (comm.rank() == 0) z = sink.snapshots().back().zscores.zscores;
-    });
-    for (const std::uint64_t b : per_rank) {
-      wire_totals[mode_index] += b;
-    }
-    for (std::size_t i = 0; i < z.size(); ++i) {
-      if (z[i] != reference_z[i]) wire_invariant = false;
-    }
-    std::printf("  %-10s %12llu bytes total  %10.0f bytes/chunk\n",
-                mode_index == 0 ? "broadcast" : "scatterv",
-                static_cast<unsigned long long>(wire_totals[mode_index]),
-                static_cast<double>(wire_totals[mode_index]) /
-                    static_cast<double>(1 + stream_chunks));
-  }
-  // Payload saving: broadcast pays (R-1) x stream payload, scatterv's
-  // slices sum to at most one stream payload — the totals must differ by
-  // the remaining (R-2) payloads.
-  const bool wire_gate =
-      wire_totals[1] + (wire_ranks - 2) * stream_bytes <= wire_totals[0];
-  std::printf("scatterv saves >= (R-2) x payload vs broadcast: %s "
-              "(bitwise invariant: %s)\n",
-              wire_gate ? "yes" : "NO", wire_invariant ? "yes" : "NO");
+  const double wire_per_chunk =
+      static_cast<double>(wire_total) / static_cast<double>(1 + stream_chunks);
+  std::printf("scatterv wire bytes at %zu ranks: %llu total, %.0f per chunk\n",
+              wire_ranks, static_cast<unsigned long long>(wire_total),
+              wire_per_chunk);
 
   // Prefetch-depth curve: the unified Assessor's bounded ingestion queue
   // over the same fixed partition at a fixed lane count. Depth 0 is fully
@@ -333,19 +293,13 @@ int main(int argc, char** argv) try {
   json.field("rank_count_invariant", rank_invariant);
   json.key("bytes_per_chunk");
   json.begin_array();
-  for (int mode_index = 0; mode_index < 2; ++mode_index) {
-    json.begin_object();
-    json.field("mode", mode_index == 0 ? "broadcast" : "scatterv");
-    json.field("ranks", wire_ranks);
-    json.field("total_wire_bytes",
-               static_cast<std::size_t>(wire_totals[mode_index]));
-    json.field("bytes_per_chunk",
-               static_cast<double>(wire_totals[mode_index]) /
-                   static_cast<double>(1 + stream_chunks));
-    json.end_object();
-  }
+  json.begin_object();
+  json.field("mode", "scatterv");
+  json.field("ranks", wire_ranks);
+  json.field("total_wire_bytes", static_cast<std::size_t>(wire_total));
+  json.field("bytes_per_chunk", wire_per_chunk);
+  json.end_object();
   json.end_array();
-  json.field("scatterv_wire_gate", wire_gate);
   json.key("prefetch_curve");
   json.begin_array();
   for (const ShardResult& r : depth_results) {
@@ -364,10 +318,7 @@ int main(int argc, char** argv) try {
   json.write_file(path);
   std::printf("wrote %s\n", path.c_str());
 
-  return invariant && rank_invariant && depth_invariant && wire_gate &&
-                 wire_invariant
-             ? 0
-             : 1;
+  return invariant && rank_invariant && depth_invariant ? 0 : 1;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;

@@ -24,4 +24,11 @@ namespace imrdmd {
 void write_file_atomic(const std::string& path,
                        const std::function<void(std::ostream&)>& write);
 
+/// Makes a closed, fully written file durable in place: fsyncs its data,
+/// then (best effort) its directory, so a newly created name survives a
+/// power loss too. For files another durable file will reference — the
+/// referencing write must come after this returns. Throws Error when the
+/// file's data cannot be synced.
+void sync_to_disk(const std::string& path);
+
 }  // namespace imrdmd

@@ -1,9 +1,9 @@
 // A small fixed-size thread pool plus a blocking parallel_for.
 //
-// OpenMP covers the dense kernels in linalg/; this pool exists for task-level
-// parallelism that OpenMP pragmas express poorly: the embarrassingly parallel
-// sub-tree updates of I-mrDMD (paper Sec. III-A.1) and the asynchronous
-// stale-level recomputation behind `recompute_on_drift`.
+// This pool is the library's only parallel runtime: the linalg kernels run
+// serially inside its lanes. It carries the embarrassingly parallel sub-tree
+// updates of I-mrDMD (paper Sec. III-A.1) and the asynchronous stale-level
+// recomputation behind `recompute_on_drift`.
 #pragma once
 
 #include <condition_variable>

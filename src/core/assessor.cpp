@@ -93,20 +93,6 @@ std::size_t hierarchy_stride_from_env() {
   return static_cast<std::size_t>(parsed);
 }
 
-/// IMRDMD_INGEST_MODE supplies the default chunk delivery when the config
-/// never called IngestOptions::with_mode(). Unset/empty means broadcast;
-/// a typo throws instead of silently running the wrong mode.
-IngestMode ingest_mode_from_env() {
-  const char* value = std::getenv("IMRDMD_INGEST_MODE");
-  if (value == nullptr || *value == '\0') return IngestMode::Broadcast;
-  const std::string name(value);
-  if (name == "broadcast") return IngestMode::Broadcast;
-  if (name == "scatterv") return IngestMode::Scatterv;
-  if (name == "per_rank") return IngestMode::PerRank;
-  throw InvalidArgument(
-      "IMRDMD_INGEST_MODE must be broadcast, scatterv, or per_rank");
-}
-
 /// IMRDMD_CHECKPOINT_DELTA supplies the default delta-checkpoint setting
 /// when the policy never called with_delta(). Unset/empty/"0" means off.
 bool checkpoint_delta_from_env() {
@@ -306,15 +292,11 @@ Assessor::Assessor(AssessorConfig config)
       "would be silently disarmed; set a path or every_n = 0");
   // Resolve the effective stride once, at construction: an explicit
   // hierarchy() call (including checkpoint resume) pins it; otherwise the
-  // environment default applies. Ingest mode and delta checkpointing
-  // follow the same pin-against-environment shape.
+  // environment default applies. Delta checkpointing follows the same
+  // pin-against-environment shape.
   if (!config_.hierarchy_set) {
     config_.coarse_stride = hierarchy_stride_from_env();
     config_.hierarchy_set = true;
-  }
-  if (!config_.ingest_options.mode_set) {
-    config_.ingest_options.mode = ingest_mode_from_env();
-    config_.ingest_options.mode_set = true;
   }
   if (!config_.checkpoint_policy.delta_set) {
     config_.checkpoint_policy.delta = checkpoint_delta_from_env();
@@ -887,8 +869,7 @@ RunSummary Assessor::run_until(ChunkSource& source, SnapshotSink& sink,
 RunSummary Assessor::run_until(ChunkSource* source, SnapshotSink& sink,
                                const StopCondition& stop) {
   const bool root = comm_ == nullptr || comm_->rank() == 0;
-  const IngestMode mode =
-      comm_ != nullptr ? config_.ingest_options.mode : IngestMode::Broadcast;
+  const IngestMode mode = config_.ingest_options.mode;
   if (comm_ != nullptr) {
     if (mode == IngestMode::PerRank) {
       // Per-rank ingestion: EVERY rank pulls its own slice from its own
@@ -1128,7 +1109,7 @@ RunSummary Assessor::run_until(ChunkSource* source, SnapshotSink& sink,
       } else {
         // Chunk handshake: rank 0 announces the next chunk's column count
         // (0 = no more chunks, with the reason) and its stream position so
-        // peers can size their replica and verify stream continuity before
+        // peers can size their slice and verify stream continuity before
         // any data moves.
         double meta[3] = {
             root && current.has_value()
@@ -1145,65 +1126,52 @@ RunSummary Assessor::run_until(ChunkSource* source, SnapshotSink& sink,
         }
         const std::size_t cols = static_cast<std::size_t>(meta[0]);
         check_stream_position(decode_position(meta[2]), cols);
-        if (mode == IngestMode::Scatterv) {
-          // Row-sliced delivery: each rank receives only the rows of the
-          // groups it owns — O(P x T) total wire bytes per chunk instead
-          // of the broadcast's O(P x T x R). The send buffer is packed in
-          // rank-block order (per rank, per owned group, per sensor row),
-          // and every rank derives the identical counts from the shared
-          // ownership map.
-          std::vector<std::size_t> counts(
-              static_cast<std::size_t>(comm_->size()), 0);
+        // Row-sliced delivery: each rank receives only the rows of the
+        // groups it owns — O(P x T) total wire bytes per chunk, not the
+        // whole chunk per rank. The send buffer is packed in rank-block
+        // order (per rank, per owned group, per sensor row), and every
+        // rank derives the identical counts from the shared ownership map.
+        // A root chunk with the wrong row count throws on rank 0, which
+        // poisons the world so the peers unwind from scatterv together.
+        std::vector<std::size_t> counts(
+            static_cast<std::size_t>(comm_->size()), 0);
+        for (std::size_t r = 0; r < counts.size(); ++r) {
+          const auto range =
+              rank_group_range(groups_.size(), counts.size(), r);
+          for (std::size_t g = range.first; g < range.second; ++g) {
+            counts[r] += groups_[g].size() * cols;
+          }
+        }
+        std::vector<double> send;
+        if (root) {
+          const Mat& chunk = current->chunk;
+          IMRDMD_REQUIRE_DIMS(
+              chunk.rows() == sensors_,
+              "assessor chunk row count differs from the configured "
+              "sensors");
+          send.reserve(static_cast<std::size_t>(sensors_) * cols);
           for (std::size_t r = 0; r < counts.size(); ++r) {
             const auto range =
                 rank_group_range(groups_.size(), counts.size(), r);
             for (std::size_t g = range.first; g < range.second; ++g) {
-              counts[r] += groups_[g].size() * cols;
-            }
-          }
-          std::vector<double> send;
-          if (root) {
-            const Mat& chunk = current->chunk;
-            IMRDMD_REQUIRE_DIMS(
-                chunk.rows() == sensors_,
-                "assessor chunk row count differs from the configured "
-                "sensors");
-            send.reserve(static_cast<std::size_t>(sensors_) * cols);
-            for (std::size_t r = 0; r < counts.size(); ++r) {
-              const auto range =
-                  rank_group_range(groups_.size(), counts.size(), r);
-              for (std::size_t g = range.first; g < range.second; ++g) {
-                for (std::size_t sensor : groups_[g]) {
-                  const double* row = chunk.data() + sensor * cols;
-                  send.insert(send.end(), row, row + cols);
-                }
+              for (std::size_t sensor : groups_[g]) {
+                const double* row = chunk.data() + sensor * cols;
+                send.insert(send.end(), row, row + cols);
               }
             }
           }
-          const std::vector<double> mine = comm_->scatterv(
-              std::span<const double>(send.data(), send.size()), counts, 0);
-          Mat local_rows(owned_rows_.size(), cols);
-          if (!mine.empty()) {
-            std::copy(mine.begin(), mine.end(), local_rows.data());
-          }
-          snapshot = process_chunk_sliced(
-              local_rows,
-              stack_.hierarchical() ? assemble_coarse(local_rows, cols)
-                                    : Mat(),
-              cols);
-        } else {
-          if (!root) {
-            current = CarriedChunk{ChunkSource::kUnknownPosition,
-                                   Mat(sensors_, cols)};
-          }
-          // Replicate the chunk. A root chunk with the wrong row count
-          // makes the buffer sizes disagree, failing on every rank
-          // together.
-          comm_->broadcast(std::span<double>(current->chunk.data(),
-                                             current->chunk.size()),
-                           0);
-          snapshot = process(current->chunk);
         }
+        const std::vector<double> mine = comm_->scatterv(
+            std::span<const double>(send.data(), send.size()), counts, 0);
+        Mat local_rows(owned_rows_.size(), cols);
+        if (!mine.empty()) {
+          std::copy(mine.begin(), mine.end(), local_rows.data());
+        }
+        snapshot = process_chunk_sliced(
+            local_rows,
+            stack_.hierarchical() ? assemble_coarse(local_rows, cols)
+                                  : Mat(),
+            cols);
       }
       const std::size_t chunk_index = snapshot.chunk_index;
       const bool keep_going = deliver(sink, std::move(snapshot), summary);

@@ -25,7 +25,7 @@
 // reconstruction is subtracted before the per-group models fit the
 // residual (AssessorConfig::hierarchy; flat when coarse_stride == 0). The
 // coarse update is replicated per engine replica on the caller thread, so
-// it rides the existing chunk broadcast with no new collectives.
+// it needs only the small allgathered coarse side-slice of each chunk.
 //
 // Invariance contract (tests/assessor_test.cpp, tests/hierarchy_test.cpp):
 // for a fixed group partition and stride, snapshots are bitwise identical
@@ -159,10 +159,6 @@ struct CheckpointPolicy {
 /// Results are bitwise identical across modes — the choice trades wire
 /// bytes only.
 enum class IngestMode {
-  /// Rank 0 pulls the full P x T chunk and broadcasts it whole: every rank
-  /// receives O(P*T) per chunk. Simple, and the only mode that lets
-  /// direct process() calls carry full chunks.
-  Broadcast,
   /// Rank 0 pulls the full chunk and scatters each rank exactly the rows
   /// of the groups it owns: a rank receives O(P*T / R) per chunk. In
   /// hierarchy mode the coarse grid rows ride a small allgathered
@@ -187,16 +183,11 @@ struct IngestOptions {
   /// invariant across depths — the knob trades memory for burst smoothing
   /// only.
   std::size_t prefetch_depth = 1;
-  /// Chunk delivery of the distributed run loop. When with_mode() is never
-  /// called, the IMRDMD_INGEST_MODE environment variable ("broadcast",
-  /// "scatterv", "per_rank") supplies the default.
-  IngestMode mode = IngestMode::Broadcast;
-  /// True once with_mode() ran — the environment default then stays inert.
-  bool mode_set = false;
+  /// Chunk delivery of the distributed run loop.
+  IngestMode mode = IngestMode::Scatterv;
 
   IngestOptions& with_mode(IngestMode delivery) {
     mode = delivery;
-    mode_set = true;
     return *this;
   }
 };
@@ -447,9 +438,9 @@ class Assessor {
   RunSummary run_until(ChunkSource& source, SnapshotSink& sink,
                        const StopCondition& stop);
 
-  /// Distributed entry point. Under IngestMode::Broadcast and Scatterv,
-  /// rank 0 owns `source` (non-null there, null elsewhere) and the chunk
-  /// payload is shipped per the mode; under IngestMode::PerRank every rank
+  /// Distributed entry point. Under IngestMode::Scatterv, rank 0 owns
+  /// `source` (non-null there, null elsewhere) and scatters each rank its
+  /// owned rows of every chunk; under IngestMode::PerRank every rank
   /// passes its own source, which must yield exactly this rank's owned
   /// sensor rows (owned_sensor_rows() order — RowSliceSource over a full
   /// replica does). Every rank's sink sees the identical snapshot stream.
@@ -539,8 +530,8 @@ class Assessor {
   /// cost-balanced lane_groups_ assignment).
   void update_local_groups(const Mat& chunk,
                            std::vector<MagnitudeUpdate>& updates);
-  /// The full-chunk processing path (every single-process call, and the
-  /// distributed Broadcast mode).
+  /// The full-chunk processing path (every single-process call, and direct
+  /// distributed process() calls).
   AssessmentSnapshot process_chunk_full(const Mat& chunk);
   /// The row-sliced processing path (Scatterv/PerRank): `local_rows` is
   /// this rank's owned raw rows (owned_sensor_rows() order) and

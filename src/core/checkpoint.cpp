@@ -332,9 +332,6 @@ struct CheckpointAccess {
   static void put_model(std::ostream& out, const IncrementalMrdmd& model,
                         const bool* parallel_bins_override = nullptr);
   static IncrementalMrdmd get_model(BoundedReader& in);
-  /// The legacy "IMRDPL1" container over a flat monolithic engine.
-  static void save_pipeline_container(std::ostream& out,
-                                      const Assessor& assessor);
   /// The "IMRDFL1"/"IMRDFL2" container over any single-process engine.
   static void save_single(std::ostream& out, const Assessor& assessor);
   /// Collective save of a distributed-topology engine (same bytes).
@@ -624,29 +621,6 @@ IncrementalMrdmd CheckpointAccess::get_model(BoundedReader& in) {
   return model;
 }
 
-void CheckpointAccess::save_pipeline_container(std::ostream& out,
-                                               const Assessor& assessor) {
-  IMRDMD_REQUIRE_ARG(assessor.stack_.fine_count() == 1 &&
-                         assessor.stack_.fine(0).fitted(),
-                     "cannot checkpoint a pipeline before its first chunk");
-  IMRDMD_REQUIRE_ARG(
-      !assessor.stack_.hierarchical(),
-      "the legacy pipeline container cannot hold a hierarchy");
-  out.write(kPipelineMagic, sizeof kPipelineMagic);
-  put_header(out, assessor.config_.pipeline_options,
-             assessor.chunks_processed_, assessor.snapshots_seen_,
-             assessor.zscore_stage_.state());
-  // The monolithic engine always runs its single group on the caller
-  // thread, so the model's own parallel_bins is the configured value —
-  // byte-identical to the pre-unification pipeline writer.
-  std::ostringstream buffer;
-  put_model(buffer, assessor.stack_.fine(0));
-  const std::string bytes = std::move(buffer).str();
-  put_u64(out, bytes.size());
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw Error("pipeline checkpoint write failed");
-}
-
 namespace {
 
 /// The container preamble shared by the single-process and distributed
@@ -817,8 +791,8 @@ void CheckpointAccess::save_distributed(std::ostream* out,
   if (!root) return;
 
   // Rank 0's coarse replica is every rank's coarse replica (the coarse
-  // update is deterministic over the digest-agreed broadcast chunk), so
-  // the hierarchy section needs no gather and the bytes stay rank-count
+  // update is deterministic over the same coarse grid rows on every rank),
+  // so the hierarchy section needs no gather and the bytes stay rank-count
   // invariant.
   put_fleet_preamble(*out, assessor, canonical_bins);
   const std::size_t ranks = static_cast<std::size_t>(comm.size());
@@ -882,11 +856,16 @@ void CheckpointAccess::save_fleet3(const std::string& path,
       put_section(assessor.stack_.fine(l));
     }
     const std::string bytes = std::move(part).str();
-    std::ofstream out(part_path(path, writer, epoch),
-                      std::ios::binary | std::ios::trunc);
+    const std::string part_file = part_path(path, writer, epoch);
+    std::ofstream out(part_file, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
+    out.close();
     if (!out) throw Error("delta checkpoint part write failed");
+    // Durable before rank 0's main file names these bytes (the manifest
+    // gather below orders every rank's sync before that rewrite): after a
+    // power loss a torn part would leave no loadable epoch, since the old
+    // epoch's part is removed once the new main is written.
+    sync_to_disk(part_file);
     assessor.delta_part_bytes_ = bytes.size();
     assessor.delta_part_digest_ =
         fnv1a64(kFnvOffsetBasis, bytes.data(), bytes.size());
@@ -905,11 +884,13 @@ void CheckpointAccess::save_fleet3(const std::string& path,
     }
     const std::string bytes = std::move(append).str();
     if (!bytes.empty()) {
-      std::ofstream out(part_path(path, writer, assessor.delta_epoch_),
-                        std::ios::binary | std::ios::app);
+      const std::string part_file =
+          part_path(path, writer, assessor.delta_epoch_);
+      std::ofstream out(part_file, std::ios::binary | std::ios::app);
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      out.flush();
+      out.close();
       if (!out) throw Error("delta checkpoint part append failed");
+      sync_to_disk(part_file);  // durable before the main names it
     }
     // The digest covers the bytes the main file will reference — a torn
     // tail past them is truncated away on load.
@@ -1424,13 +1405,6 @@ RestoredAssessor load_assessor_checkpoint_file(
     return CheckpointAccess::load_fleet3(path, reader, &comm, resume);
   }
   return load_assessor_checkpoint(in, comm, resume);
-}
-
-// --- Legacy container coverage -------------------------------------------
-
-void save_legacy_pipeline_checkpoint(std::ostream& out,
-                                     const Assessor& assessor) {
-  CheckpointAccess::save_pipeline_container(out, assessor);
 }
 
 }  // namespace imrdmd::core

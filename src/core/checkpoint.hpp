@@ -19,10 +19,10 @@
 //     per-group sections. In the distributed topology the save is a
 //     collective gather to rank 0 that writes the SAME bytes as the
 //     single-process save — byte-identical for any lane or rank count.
-//   * Loads accept every container generation: "IMRDPL1" (the retired
-//     monolithic pipeline writer, still producible via
-//     save_legacy_pipeline_checkpoint for coverage) and "IMRDFL1" load as
-//     stride-disabled flat stacks; "IMRDFL2" restores the hierarchy.
+//   * Loads accept every container generation: "IMRDPL1" (written by the
+//     retired monolithic pipeline drivers; load-only, pinned by a golden
+//     file under tests/data/) and "IMRDFL1" load as stride-disabled flat
+//     stacks; "IMRDFL2" restores the hierarchy.
 //
 // Formats: little-endian, magic "IMRDMD1\n" / "IMRDPL1\n" / "IMRDFL1\n" /
 // "IMRDFL2\n", then length-prefixed sections. Every section is
@@ -117,15 +117,5 @@ RestoredAssessor load_assessor_checkpoint(
 RestoredAssessor load_assessor_checkpoint_file(
     const std::string& path, dist::Communicator& comm,
     const AssessorResumeOptions& resume = {});
-
-// --- Legacy container coverage -------------------------------------------
-
-/// Writes the retired monolithic drivers' "IMRDPL1" container over a flat
-/// monolithic engine (one identity group, no hierarchy) — kept so the
-/// pre-Assessor on-disk generation stays producible for the format-compat
-/// round-trip tests; every load path above accepts it. InvalidArgument for
-/// a sharded, distributed, hierarchical, or unstarted engine.
-void save_legacy_pipeline_checkpoint(std::ostream& out,
-                                     const Assessor& assessor);
 
 }  // namespace imrdmd::core

@@ -17,8 +17,9 @@
 // list (each group contributes at least its first sensor) — and
 // update_coarse is a deterministic function of the chunk bytes and the
 // coarse model state, run unsharded on the caller thread. Every rank of a
-// distributed engine replicates it on the broadcast chunk, so no new
-// collective traffic is needed and the replicas agree bitwise forever.
+// distributed engine replicates it on the same coarse grid rows (the full
+// chunk, or the sliced modes' allgathered side-slice), so the replicas
+// agree bitwise forever.
 #pragma once
 
 #include <cstddef>

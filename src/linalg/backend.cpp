@@ -37,8 +37,7 @@ class ReferenceBackend final : public Backend {
  public:
   const char* name() const override { return "reference"; }
   std::string capabilities() const override {
-    return "cache-blocked scalar kernels, OpenMP row panels; bitwise "
-           "deterministic";
+    return "serial row-major scalar kernels; bitwise deterministic";
   }
   void matmul_into(const Mat& a, const Mat& b, Mat& out) override {
     ref::matmul_into(a, b, out);

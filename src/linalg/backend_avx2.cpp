@@ -9,10 +9,10 @@
 // kernels_compiled() and the CPU check pass.
 //
 // Vectorization strategy: the reference kernels' outer structure is kept
-// verbatim (OpenMP row panels, each output row owned by one thread, same
-// k-loop order), and only the innermost contiguous j-loops become 256-bit
-// FMA lanes. That preserves the per-backend determinism contract — a fixed
-// operation order for any thread count — while replacing the two-rounding
+// verbatim (same row order, same k-loop order), and only the innermost
+// contiguous j-loops become 256-bit FMA lanes. That preserves the
+// per-backend determinism contract — a fixed operation order on every run —
+// while replacing the two-rounding
 // multiply-add with single-rounding FMA, which is why avx2 results sit in
 // the banded (not bitwise) equivalence class against reference.
 
@@ -114,7 +114,6 @@ void matmul_into(const Mat& a, const Mat& b, Mat& out) {
   const std::size_t n = b.cols();
   if (m == 0 || k == 0 || n == 0) return;
   const double* __restrict__ bp = b.data();
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 14)
   for (std::size_t i = 0; i < m; ++i) {
     const double* __restrict__ arow = a.data() + i * k;
     double* __restrict__ crow = out.data() + i * n;
@@ -133,7 +132,6 @@ void matmul_at_b_into(const Mat& a, const Mat& b, Mat& out) {
   const std::size_t k = a.rows();
   const std::size_t n = b.cols();
   if (m == 0 || k == 0 || n == 0) return;
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 14)
   for (std::size_t i = 0; i < m; ++i) {
     double* __restrict__ crow = out.data() + i * n;
     for (std::size_t kk = 0; kk < k; ++kk) {
@@ -149,7 +147,6 @@ void matmul_a_bt_into(const Mat& a, const Mat& b, Mat& out) {
   const std::size_t k = a.cols();
   const std::size_t n = b.rows();
   if (m == 0 || k == 0 || n == 0) return;
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 14)
   for (std::size_t i = 0; i < m; ++i) {
     const double* __restrict__ arow = a.data() + i * k;
     double* __restrict__ crow = out.data() + i * n;
@@ -165,7 +162,6 @@ void matmul_sub(const Mat& a, const Mat& b, Mat& out) {
   const std::size_t n = b.cols();
   if (m == 0 || k == 0 || n == 0) return;
   const double* __restrict__ bp = b.data();
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 14)
   for (std::size_t i = 0; i < m; ++i) {
     const double* __restrict__ arow = a.data() + i * k;
     double* __restrict__ crow = out.data() + i * n;

@@ -9,10 +9,10 @@ namespace imrdmd::linalg {
 
 namespace {
 
-// Row-panel blocking: each OpenMP thread owns a stripe of C rows; the inner
-// k-j loop order streams B rows sequentially, which is the cache-friendly
-// order for row-major storage. Each output row is owned by exactly one
-// thread, so results are bitwise deterministic for any thread count.
+// Serial row-major GEMM: the inner k-j loop order streams B rows
+// sequentially, which is the cache-friendly order for row-major storage.
+// Parallelism lives one level up, in the ThreadPool lanes that run
+// independent sub-tree updates, so a kernel never starts threads itself.
 // `c` arrives pre-shaped and zero-filled (Backend kernel contract).
 template <typename T>
 void matmul_into_impl(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c) {
@@ -21,7 +21,6 @@ void matmul_into_impl(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c) {
   const std::size_t n = b.cols();
   if (m == 0 || k == 0 || n == 0) return;
   const T* __restrict__ bp = b.data();
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 14)
   for (std::size_t i = 0; i < m; ++i) {
     const T* __restrict__ arow = a.data() + i * k;
     T* __restrict__ crow = c.data() + i * n;
@@ -49,11 +48,8 @@ void matmul_at_b_into(const Mat& a, const Mat& b, Mat& out) {
   const std::size_t k = a.rows();
   const std::size_t n = b.cols();
   if (m == 0 || k == 0 || n == 0) return;
-  // C += a_row(kk)^T * b_row(kk): rank-1 accumulation keeps both inputs in
-  // row-major streaming order. Parallelizing over kk would race on C, so we
-  // parallelize over output rows with a transposed access into A instead
-  // when the problem is big enough.
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 14)
+  // C += a_row(kk)^T * b_row(kk): rank-1 accumulation keeps B in row-major
+  // streaming order; each output row reads A transposed.
   for (std::size_t i = 0; i < m; ++i) {
     double* __restrict__ crow = out.data() + i * n;
     for (std::size_t kk = 0; kk < k; ++kk) {
@@ -70,7 +66,6 @@ void matmul_a_bt_into(const Mat& a, const Mat& b, Mat& out) {
   const std::size_t k = a.cols();
   const std::size_t n = b.rows();
   if (m == 0 || k == 0 || n == 0) return;
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 14)
   for (std::size_t i = 0; i < m; ++i) {
     const double* __restrict__ arow = a.data() + i * k;
     double* __restrict__ crow = out.data() + i * n;
@@ -89,7 +84,6 @@ void matmul_sub(const Mat& a, const Mat& b, Mat& out) {
   const std::size_t n = b.cols();
   if (m == 0 || k == 0 || n == 0) return;
   const double* __restrict__ bp = b.data();
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 14)
   for (std::size_t i = 0; i < m; ++i) {
     const double* __restrict__ arow = a.data() + i * k;
     double* __restrict__ crow = out.data() + i * n;
@@ -179,7 +173,6 @@ CMat matmul_ah_b(const CMat& a, const CMat& b) {
   const std::size_t n = b.cols();
   CMat c(m, n);
   if (m == 0 || k == 0 || n == 0) return c;
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 14)
   for (std::size_t i = 0; i < m; ++i) {
     Complex* __restrict__ crow = c.data() + i * n;
     for (std::size_t kk = 0; kk < k; ++kk) {

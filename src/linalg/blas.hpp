@@ -1,8 +1,8 @@
 // Dense kernels: products, norms, and simple transforms.
 //
-// GEMM is cache-blocked and OpenMP-parallel over row panels; everything in
-// dmd/core funnels its heavy products through these entry points so there is
-// exactly one place to tune. Adjoint variants avoid materializing transposes.
+// GEMM is a serial row-major kernel; everything in dmd/core funnels its
+// heavy products through these entry points so there is exactly one place to
+// tune. Adjoint variants avoid materializing transposes.
 #pragma once
 
 #include <span>

@@ -3,9 +3,9 @@
 // Design notes:
 //   * Row-major storage: sensor-major layouts (P rows of T samples) dominate
 //     this codebase and row-major keeps a sensor's time series contiguous.
-//   * No expression templates — the heavy kernels live in blas.hpp where they
-//     can be blocked and OpenMP-parallelized explicitly; Matrix itself only
-//     carries cheap element-wise operators.
+//   * No expression templates — the heavy kernels live in blas.hpp behind
+//     the linalg backend seam; Matrix itself only carries cheap element-wise
+//     operators.
 //   * Shapes are validated with IMRDMD_REQUIRE_DIMS; an empty (0x0) matrix is
 //     a valid value (the result of decomposing nothing).
 #pragma once

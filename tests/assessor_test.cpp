@@ -2,8 +2,8 @@
 // ingestion queue, topology invariance (monolithic / sharded / distributed
 // produce one bitwise-identical stream), the run_until stop-condition
 // surface, the fail-fast unresumable-checkpoint and armed-policy-without-
-// path validations, and the assessor checkpoint API (including the legacy
-// IMRDPL1 container, still producible for format coverage).
+// path validations, and the assessor checkpoint API (including loading the
+// legacy IMRDPL1 container from a golden file).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -30,7 +30,10 @@ using core::Mat;
 using core::PipelineOptions;
 using core::StopCondition;
 using core::StopReason;
+using imrdmd::testing::kGoldenFleetCheckpoint;
+using imrdmd::testing::kGoldenPipelineCheckpoint;
 using imrdmd::testing::planted_multiscale;
+using imrdmd::testing::test_data_bytes;
 
 using MatChunkSource = core::MatrixChunkSource;
 
@@ -383,65 +386,29 @@ TEST(Assessor, CheckpointRoundTripsAndResavesByteIdentically) {
 }
 
 TEST(Assessor, LegacyPipelineCheckpointResumesThroughTheEngine) {
-  // The retired monolithic drivers' IMRDPL1 container still loads: bytes
-  // written by save_legacy_pipeline_checkpoint resume as a one-group flat
-  // engine whose continuation matches the uninterrupted flat reference.
-  const Mat data = assessor_data();
-  Assessor reference(
-      AssessorConfig{}.pipeline(assessor_pipeline_options()).hierarchy(0));
-  MatChunkSource source(data, 256, 64);
-  const auto expected = collect_run(reference, source);
-  ASSERT_EQ(expected.size(), 3u);
-
-  Assessor doomed(
-      AssessorConfig{}.pipeline(assessor_pipeline_options()).hierarchy(0));
-  MatChunkSource replay(data, 256, 64);
-  CollectingSink doomed_sink;
-  StopCondition two;
-  two.max_chunks = 2;
-  doomed.run_until(replay, doomed_sink, two);
-  std::stringstream buffer;
-  core::save_legacy_pipeline_checkpoint(buffer, doomed);
-  EXPECT_EQ(buffer.str().substr(0, 8), "IMRDPL1\n");
-
-  core::RestoredAssessor restored = core::load_assessor_checkpoint(buffer);
+  // The retired monolithic drivers' IMRDPL1 container still loads: the
+  // golden file (tests/data/) resumes as a one-group flat engine whose
+  // run-loop continuation matches the golden IMRDFL1 image of the same
+  // state (assessor_data(), two chunks in).
+  std::stringstream legacy(test_data_bytes(kGoldenPipelineCheckpoint));
+  EXPECT_EQ(legacy.str().substr(0, 8), "IMRDPL1\n");
+  core::RestoredAssessor restored = core::load_assessor_checkpoint(legacy);
   EXPECT_EQ(restored.assessor.chunks_processed(), 2u);
   EXPECT_FALSE(restored.assessor.hierarchical());
+  std::stringstream unified(test_data_bytes(kGoldenFleetCheckpoint));
+  core::RestoredAssessor reference = core::load_assessor_checkpoint(unified);
+
+  const Mat data = assessor_data();
   MatChunkSource rest(data, 256, 64);
   rest.seek(static_cast<std::size_t>(restored.stream_position));
   const auto after = collect_run(restored.assessor, rest);
+  MatChunkSource reference_rest(data, 256, 64);
+  reference_rest.seek(static_cast<std::size_t>(reference.stream_position));
+  const auto expected = collect_run(reference.assessor, reference_rest);
   ASSERT_EQ(after.size(), 1u);
-  expect_bitwise_equal(after[0].magnitudes, expected[2].magnitudes);
-  expect_bitwise_equal(after[0].zscores.zscores,
-                       expected[2].zscores.zscores);
-}
-
-TEST(Assessor, LegacyPipelineContainerRefusesNonFlatEngines) {
-  const Mat data = assessor_data();
-  // Sharded engine: the one-model container cannot hold the partition.
-  Assessor sharded(AssessorConfig{}
-                       .pipeline(assessor_pipeline_options())
-                       .sharded(core::contiguous_groups(data.rows(), 3))
-                       .sensors(data.rows())
-                       .hierarchy(0));
-  sharded.process(data.block(0, 0, data.rows(), 256));
-  std::stringstream buffer;
-  EXPECT_THROW(core::save_legacy_pipeline_checkpoint(buffer, sharded),
-               InvalidArgument);
-
-  // Hierarchical engine: the legacy container predates the coarse level.
-  Assessor hierarchical(AssessorConfig{}
-                            .pipeline(assessor_pipeline_options())
-                            .hierarchy(4));
-  hierarchical.process(data.block(0, 0, data.rows(), 256));
-  EXPECT_THROW(core::save_legacy_pipeline_checkpoint(buffer, hierarchical),
-               InvalidArgument);
-
-  // Unstarted engine: nothing to serialize yet.
-  Assessor unstarted(
-      AssessorConfig{}.pipeline(assessor_pipeline_options()).hierarchy(0));
-  EXPECT_THROW(core::save_legacy_pipeline_checkpoint(buffer, unstarted),
-               InvalidArgument);
+  ASSERT_EQ(expected.size(), 1u);
+  expect_bitwise_equal(after[0].magnitudes, expected[0].magnitudes);
+  expect_bitwise_equal(after[0].zscores.zscores, expected[0].zscores.zscores);
 }
 
 TEST(DistributedAssessor, ZeroColumnChunkMidStreamFailsInsteadOfTruncating) {

@@ -1,8 +1,8 @@
 // Determinism of the parallel I-mrDMD paths: with a fixed thread count,
 // repeated runs and serial-vs-parallel runs must produce bitwise-identical
 // results. Every parallel_for gathers per-bin results in worklist order and
-// every OpenMP kernel assigns each output row to exactly one thread, so the
-// floating-point evaluation order never depends on scheduling.
+// the linalg kernels run serially inside a lane, so the floating-point
+// evaluation order never depends on scheduling.
 #include <gtest/gtest.h>
 
 #include <cstring>

@@ -1,7 +1,6 @@
 // Ingestion-mode and elasticity tests for the distributed engine: the
-// three chunk-delivery modes (broadcast, scatterv, per-rank sources) are
-// bitwise interchangeable across rank counts, lanes, and hierarchy modes;
-// scatterv moves strictly fewer wire bytes than broadcast; a desynced
+// two chunk-delivery modes (scatterv, per-rank sources) are bitwise
+// interchangeable across rank counts, lanes, and hierarchy modes; a desynced
 // per-rank replica fails every rank together with StreamDesync; and
 // add_sensors grows groups mid-stream identically in every topology.
 #include <gtest/gtest.h>
@@ -128,7 +127,7 @@ TEST(DistributedFleetIngest, AllModesMatchTheSingleProcessEngineBitwise) {
   const Mat data = ingest_data();
   for (const std::size_t stride : {std::size_t{0}, std::size_t{2}}) {
     AssessorConfig reference_config =
-        ingest_config(data.rows(), stride, 1, IngestMode::Broadcast);
+        ingest_config(data.rows(), stride, 1, IngestMode::Scatterv);
     Assessor reference_engine(reference_config);
     MatrixChunkSource reference_source(data, 256, 64);
     CollectingSink reference_sink;
@@ -141,8 +140,7 @@ TEST(DistributedFleetIngest, AllModesMatchTheSingleProcessEngineBitwise) {
 
     for (const int ranks : {2, 4}) {
       for (const IngestMode mode :
-           {IngestMode::Broadcast, IngestMode::Scatterv,
-            IngestMode::PerRank}) {
+           {IngestMode::Scatterv, IngestMode::PerRank}) {
         const DistRun run =
             run_distributed(data, stride, /*lanes=*/2, mode, ranks);
         expect_snapshots_equal(run.snapshots, reference);
@@ -153,39 +151,6 @@ TEST(DistributedFleetIngest, AllModesMatchTheSingleProcessEngineBitwise) {
       }
     }
   }
-}
-
-TEST(DistributedFleetIngest, ScattervMovesFewerPayloadBytesThanBroadcast) {
-  const Mat data = ingest_data();
-  const int ranks = 4;
-  std::uint64_t measured[2] = {0, 0};
-  for (int i = 0; i < 2; ++i) {
-    const IngestMode mode =
-        i == 0 ? IngestMode::Broadcast : IngestMode::Scatterv;
-    dist::World world(ranks);
-    world.run([&](dist::Communicator& comm) {
-      AssessorConfig config = ingest_config(data.rows(), 0, 1, mode);
-      Assessor assessor(config.distributed(comm));
-      std::optional<MatrixChunkSource> source;
-      if (comm.rank() == 0) source.emplace(data, 256, 64);
-      comm.reset_wire_bytes();
-      CollectingSink sink;
-      assessor.run_until(comm.rank() == 0 ? &*source : nullptr, sink,
-                         StopCondition{});
-      if (comm.rank() == 0) measured[i] = comm.wire_bytes();
-    });
-  }
-  // Broadcast ships the full P x T chunk to every non-root; scatterv ships
-  // each non-root only its owned rows (~1/R of the payload). The merge
-  // traffic is identical between the runs, so the totals must differ by at
-  // least the payload saving: (R-1) x P x T doubles minus the slices the
-  // non-roots still receive (at most P x T doubles in total).
-  const std::uint64_t chunk_payload =
-      static_cast<std::uint64_t>(data.rows()) * data.cols() * sizeof(double);
-  const std::uint64_t saving =
-      (static_cast<std::uint64_t>(ranks) - 1) * chunk_payload - chunk_payload;
-  EXPECT_LT(measured[1], measured[0]);
-  EXPECT_LE(measured[1], measured[0] - saving);
 }
 
 TEST(DistributedFleetIngest, DesyncedPerRankReplicaFailsEveryRankTogether) {
@@ -228,7 +193,7 @@ TEST(DistributedFleetIngest, PerRankSourceWithWrongRowCountIsRejected) {
 TEST(DistributedFleetIngest, ResumedSourceLeftUnseekedRaisesStreamDesync) {
   const Mat data = ingest_data();
   AssessorConfig config =
-      ingest_config(data.rows(), 0, 1, IngestMode::Broadcast);
+      ingest_config(data.rows(), 0, 1, IngestMode::Scatterv);
   Assessor assessor(config);
   MatrixChunkSource source(data, 256, 64);
   CollectingSink sink;

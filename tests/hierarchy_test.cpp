@@ -398,8 +398,8 @@ TEST(Assessor, HierarchyIsBitwiseInvariantAcrossLanesAndDepths) {
 }
 
 TEST(DistributedAssessor, HierarchyIsBitwiseInvariantAcrossRanks) {
-  // The coarse model runs replicated (once per rank, on the broadcast
-  // chunk), so the distributed hierarchy must agree bitwise with the
+  // The coarse model runs replicated (once per rank, on the same coarse
+  // grid rows), so the distributed hierarchy must agree bitwise with the
   // single-process hierarchy at every rank count — including spare ranks.
   const Mat data = hierarchy_data();
   const auto groups = core::contiguous_groups(data.rows(), 3);

@@ -4,9 +4,9 @@
 // computes the same seven kernels, differing at most by floating-point
 // summation order. This typed suite states that contract once, over the
 // shape edge cases the dispatcher can legally hand a backend — empty /
-// single-column / odd-column shapes, tall-skinny panels, and sizes
-// straddling the OpenMP row-panel threshold — and instantiating it for a
-// new backend takes a Traits type:
+// single-column / odd-column shapes, tall-skinny panels, and one cube big
+// enough to reach an accelerated backend's size-switched path — and
+// instantiating it for a new backend takes a Traits type:
 //
 //   struct MyBackendTraits {
 //     /// Registry name; the suite skips (not fails) when absent, so one
@@ -46,7 +46,8 @@ struct GemmShape {
 
 /// GEMM shapes covering the dispatcher's legal envelope: degenerate dims,
 /// single/odd columns (vector-lane remainders), tall-skinny iSVD panels,
-/// and one shape past the OpenMP row-panel threshold (m * n * k > 2^14).
+/// and one cube with m * n * k > 2^14, large enough that an accelerated
+/// backend's blocked or threaded path (OpenBLAS switches on size) runs.
 inline std::vector<GemmShape> gemm_shapes() {
   return {{0, 3, 2}, {3, 0, 2}, {3, 2, 0}, {1, 1, 1},   {5, 3, 4},
           {7, 1, 3}, {1, 7, 1}, {33, 7, 5}, {64, 16, 8}, {200, 8, 8},

@@ -2,7 +2,10 @@
 #pragma once
 
 #include <cmath>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <sstream>
+#include <string>
 
 #include "common/rng.hpp"
 #include "linalg/blas.hpp"
@@ -68,5 +71,25 @@ inline linalg::Mat planted_multiscale(std::size_t sensors, std::size_t steps,
   }
   return m;
 }
+
+/// The bytes of a checked-in file under tests/data/.
+inline std::string test_data_bytes(const std::string& name) {
+  const std::string path = std::string(IMRDMD_TEST_DATA_DIR) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return std::move(bytes).str();
+}
+
+/// The golden checkpoint pair in tests/data/: one flat monolithic engine
+/// (planted_multiscale(15, 384, 0.02, Rng(7)); max_levels 4, dt 1,
+/// baseline [-10, 10]) after chunks [0, 256) and [256, 320), saved once in
+/// the IMRDPL1 pipeline container and once in IMRDFL1. The library only
+/// loads IMRDPL1, so this file is that loader's only input.
+inline constexpr const char* kGoldenPipelineCheckpoint =
+    "pipeline_chunk2.imrdpl1";
+inline constexpr const char* kGoldenFleetCheckpoint =
+    "pipeline_chunk2.imrdfl1";
 
 }  // namespace imrdmd::testing
