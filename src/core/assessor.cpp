@@ -81,10 +81,14 @@ PartialFitReport decode_report(const double* words) {
 /// config never called hierarchy() — the same opt-in shape as
 /// IMRDMD_LINALG_BACKEND, so CI can re-run entire suites with the
 /// hierarchy enabled. Unset/empty means flat; anything unparsable throws
-/// (a typo must not silently run flat).
+/// (a typo must not silently run flat). strtoull would skip leading
+/// whitespace and negate a leading '-' without an error, so the first
+/// character must already be a digit.
 std::size_t hierarchy_stride_from_env() {
   const char* value = std::getenv("IMRDMD_HIERARCHY_STRIDE");
   if (value == nullptr || *value == '\0') return 0;
+  IMRDMD_REQUIRE_ARG(*value >= '0' && *value <= '9',
+                     "IMRDMD_HIERARCHY_STRIDE is not a non-negative integer");
   errno = 0;
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(value, &end, 10);
@@ -315,7 +319,6 @@ Assessor::Assessor(AssessorConfig config)
     local_begin_ = 0;
     local_end_ = 1;
     lanes_ = 1;
-    identity_partition_ = true;
     stack_.add_fine(config_.pipeline_options.imrdmd);
   } else {
     finalize_topology(config_.sensor_count);
@@ -330,12 +333,6 @@ void Assessor::finalize_topology(std::size_t sensors) {
     groups_ = contiguous_groups(sensors_, 1);
   }
   validate_partition(groups_, sensors_);
-  if (groups_.size() == 1) {
-    identity_partition_ = true;
-    for (std::size_t i = 0; i < groups_[0].size(); ++i) {
-      if (groups_[0][i] != i) identity_partition_ = false;
-    }
-  }
 
   if (comm_ != nullptr) {
     const auto range = rank_group_range(
@@ -395,6 +392,10 @@ void Assessor::rebuild_owned_maps() {
       owned_rows_.push_back(sensor);
     }
   }
+  owned_rows_in_order_ = owned_rows_.size() == sensors_;
+  for (std::size_t i = 0; owned_rows_in_order_ && i < sensors_; ++i) {
+    owned_rows_in_order_ = owned_rows_[i] == i;
+  }
 }
 
 void Assessor::rebalance_lanes() {
@@ -443,25 +444,19 @@ const IncrementalMrdmd& Assessor::model(std::size_t group) const {
   return stack_.fine(group - local_begin_);
 }
 
-void Assessor::update_local_groups(const Mat& chunk,
-                                   std::vector<MagnitudeUpdate>& updates) {
-  run_lanes(
-      lanes_,
-      [this, &chunk, &updates](std::size_t lane) {
-        for (std::size_t l : lane_groups_[lane]) {
-          // The identity partition (one group of all sensors, in order)
-          // feeds the chunk straight through — no per-chunk gather copy.
-          updates[l] =
-              identity_partition_
-                  ? update_magnitudes(stack_.fine(l), chunk,
-                                      config_.pipeline_options.band)
-                  : update_magnitudes(
-                        stack_.fine(l),
-                        gather_rows(chunk, groups_[local_begin_ + l]),
-                        config_.pipeline_options.band);
-        }
-      },
-      &pool());
+void Assessor::require_agreement(std::span<const double> meta,
+                                 const char* what) const {
+  // One allgather shows every rank every peer's meta; on any disagreement
+  // every rank sees the same slots and finds some slot differing from its
+  // own, so all ranks throw together instead of deadlocking in a later
+  // collective.
+  const std::vector<std::vector<double>> metas = comm_->allgatherv(meta);
+  for (const auto& slot : metas) {
+    if (slot.size() != meta.size() ||
+        std::memcmp(slot.data(), meta.data(), meta.size_bytes()) != 0) {
+      throw InvalidArgument(what);
+    }
+  }
 }
 
 AssessmentSnapshot Assessor::process(const Mat& chunk) {
@@ -475,86 +470,53 @@ AssessmentSnapshot Assessor::process(const Mat& chunk) {
   if (comm_ != nullptr) {
     // SPMD agreement: every rank must be processing the same chunk — width
     // AND content (a content disagreement would silently desync the
-    // replicated z-score stages). One allgather shows every rank every
-    // peer's (width, digest); on any disagreement every rank sees the same
-    // slots and finds some slot differing from its own, so all ranks throw
-    // together instead of deadlocking in a later collective.
+    // replicated coarse models and z-score stages).
     const double meta[2] = {static_cast<double>(chunk.cols()),
                             chunk_digest(chunk)};
-    const std::vector<std::vector<double>> metas =
-        comm_->allgatherv(std::span<const double>(meta, 2));
-    for (const auto& slot : metas) {
-      if (slot.size() != 2 ||
-          std::memcmp(slot.data(), meta, sizeof meta) != 0) {
-        throw InvalidArgument(
-            "distributed assessor ranks disagree on the chunk (width or "
-            "content)");
-      }
-    }
+    require_agreement(meta,
+                      "distributed assessor ranks disagree on the chunk "
+                      "(width or content)");
   }
 
-  return process_chunk_full(chunk);
+  // Read this process's owned rows and the coarse grid rows off the full
+  // chunk. Owned rows that are the chunk's rows in order (monolithic, or
+  // every contiguous group on one process) pass straight through — no
+  // gather copy.
+  Mat owned;
+  if (!owned_rows_in_order_) owned = gather_rows(chunk, owned_rows_);
+  return fold_and_score(
+      owned_rows_in_order_ ? chunk : owned,
+      stack_.hierarchical() ? gather_rows(chunk, stack_.coarse_rows())
+                            : Mat(),
+      chunk.cols());
 }
 
-AssessmentSnapshot Assessor::process_chunk_full(const Mat& chunk) {
-  WallTimer timer;
-  const std::size_t local_count = local_end_ - local_begin_;
-  std::vector<MagnitudeUpdate> updates(local_count);
-
-  // Coarse level first (hierarchy mode): one deterministic update per
-  // engine replica, on the caller thread — after the SPMD digest agreement
-  // above, every rank holds identical chunk bytes, so the replicated
-  // coarse models (and the residual they produce) stay bitwise identical
-  // with no extra collective. The fine models then fit the residual.
-  const bool hierarchical = stack_.hierarchical();
-  Mat residual;
-  CoarseUpdate coarse;
-  if (hierarchical) {
-    coarse = stack_.update_coarse(chunk, config_.pipeline_options.band,
-                                  residual);
-  }
-  update_local_groups(hierarchical ? residual : chunk, updates);
-  if (hierarchical) {
-    // The per-group updates above computed means of the RESIDUAL blocks;
-    // the baseline value-range rule reads physical values, so substitute
-    // the raw chunk's per-row means before the merge (row_means is
-    // per-row independent, so the merged full-width vector is bitwise
-    // row_means(chunk) — and the sliced path can substitute the same
-    // values from its raw slice alone).
-    const std::vector<double> raw = row_means(chunk);
-    for (std::size_t l = 0; l < local_count; ++l) {
-      const auto& group = groups_[local_begin_ + l];
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        updates[l].sensor_means[i] = raw[group[i]];
-      }
-    }
-  }
-  Mat journal;
-  if (config_.checkpoint_policy.delta) {
-    journal = gather_rows(chunk, owned_rows_);
-  }
-  return merge_and_score(updates, std::move(coarse), journal, chunk.cols(),
-                         timer);
-}
-
-AssessmentSnapshot Assessor::process_chunk_sliced(const Mat& local_rows,
-                                                  const Mat& coarse_chunk,
-                                                  std::size_t cols) {
+CoarseUpdate Assessor::fold(const Mat& local_rows, const Mat& coarse_chunk,
+                            std::size_t cols,
+                            std::vector<MagnitudeUpdate>& updates) {
   IMRDMD_REQUIRE_DIMS(
       local_rows.rows() == owned_rows_.size() && local_rows.cols() == cols,
-      "sliced chunk row count differs from this rank's owned sensor rows");
-  WallTimer timer;
+      "chunk slice differs from this process's owned sensor rows");
   const std::size_t local_count = local_end_ - local_begin_;
-  std::vector<MagnitudeUpdate> updates(local_count);
+  updates.assign(local_count, MagnitudeUpdate{});
+  const dmd::ModeBand& band = config_.pipeline_options.band;
 
+  // Coarse level first (hierarchy mode): one deterministic update per
+  // engine replica, on the caller thread, over the same coarse grid rows on
+  // every replica — so the replicated coarse models stay bitwise identical
+  // with no extra collective. The fine models then fit the residual.
   const bool hierarchical = stack_.hierarchical();
   CoarseUpdate coarse;
   Mat residual_rows;
+  std::vector<double> raw_means;
   if (hierarchical) {
-    coarse = stack_.update_coarse_sliced(coarse_chunk,
-                                         config_.pipeline_options.band,
-                                         owned_rows_, local_rows,
-                                         residual_rows);
+    coarse = stack_.update_coarse(coarse_chunk, band, owned_rows_,
+                                  local_rows, residual_rows);
+    // The fine updates compute means of the RESIDUAL rows; the baseline
+    // value-range rule reads physical values, so the raw per-row means
+    // replace them (row means are per-row independent, so these are
+    // bitwise the per-group means of the raw rows).
+    raw_means = row_means(local_rows);
   }
   // Owned-slice layout: the rows of local group l occupy the contiguous
   // block starting at the prefix sum of the earlier owned groups' widths.
@@ -565,102 +527,94 @@ AssessmentSnapshot Assessor::process_chunk_sliced(const Mat& local_rows,
   const Mat& fine_input = hierarchical ? residual_rows : local_rows;
   run_lanes(
       lanes_,
-      [this, &fine_input, &local_rows, &updates, &offsets, hierarchical,
-       cols](std::size_t lane) {
+      [&](std::size_t lane) {
         for (std::size_t l : lane_groups_[lane]) {
           const std::size_t width = groups_[local_begin_ + l].size();
-          updates[l] = update_magnitudes(
-              stack_.fine(l), fine_input.block(offsets[l], 0, width, cols),
-              config_.pipeline_options.band);
+          // A group spanning the whole owned slice (monolithic) fits it in
+          // place; the others fit a copy of their block.
+          updates[l] = width == fine_input.rows()
+                           ? update_magnitudes(stack_.fine(l), fine_input,
+                                               band)
+                           : update_magnitudes(
+                                 stack_.fine(l),
+                                 fine_input.block(offsets[l], 0, width, cols),
+                                 band);
           if (hierarchical) {
-            // Raw means for the baseline rule, as in the full path.
-            updates[l].sensor_means =
-                row_means(local_rows.block(offsets[l], 0, width, cols));
+            const auto first =
+                raw_means.begin() + static_cast<std::ptrdiff_t>(offsets[l]);
+            updates[l].sensor_means.assign(
+                first, first + static_cast<std::ptrdiff_t>(width));
           }
         }
       },
       &pool());
-  Mat journal;
-  if (config_.checkpoint_policy.delta) journal = local_rows;
-  return merge_and_score(updates, std::move(coarse), journal, cols, timer);
+  return coarse;
 }
 
-AssessmentSnapshot Assessor::merge_and_score(
-    std::vector<MagnitudeUpdate>& updates, CoarseUpdate&& coarse,
-    const Mat& raw_rows, std::size_t cols, WallTimer timer) {
+AssessmentSnapshot Assessor::fold_and_score(const Mat& local_rows,
+                                            const Mat& coarse_chunk,
+                                            std::size_t cols) {
+  WallTimer timer;
+  std::vector<MagnitudeUpdate> updates;
+  CoarseUpdate coarse = fold(local_rows, coarse_chunk, cols, updates);
+
   AssessmentSnapshot snapshot;
   snapshot.chunk_index = chunks_processed_;
   snapshot.chunk_snapshots = cols;
   const std::size_t local_count = local_end_ - local_begin_;
-  const bool hierarchical = stack_.hierarchical();
+
+  // Merge in deterministic global group order. Each process contributes,
+  // for each owned group in order, [magnitudes | sensor_means | report];
+  // the distributed topology allgathers the contributions and a single
+  // process is the one-rank case. Boundaries are recovered from the shared
+  // ownership map, so every rank decodes the identical global sequence.
+  std::vector<double> local_blob;
+  local_blob.reserve(2 * owned_rows_.size() + kReportWords * local_count);
+  for (std::size_t l = 0; l < local_count; ++l) {
+    local_blob.insert(local_blob.end(), updates[l].magnitudes.begin(),
+                      updates[l].magnitudes.end());
+    local_blob.insert(local_blob.end(), updates[l].sensor_means.begin(),
+                      updates[l].sensor_means.end());
+    encode_report(local_blob, updates[l].report);
+  }
+  std::vector<std::vector<double>> blobs;
+  if (comm_ != nullptr) {
+    blobs = comm_->allgatherv(
+        std::span<const double>(local_blob.data(), local_blob.size()));
+  } else {
+    blobs.push_back(std::move(local_blob));
+  }
 
   snapshot.magnitudes.assign(sensors_, 0.0);
   snapshot.sensor_means.assign(sensors_, 0.0);
-  if (comm_ == nullptr) {
-    // Merge in deterministic group order: scatter each group's magnitudes
-    // and means back to machine sensor indices, then reconcile globally.
-    snapshot.reports.reserve(groups_.size());
-    for (std::size_t g = 0; g < groups_.size(); ++g) {
+  snapshot.reports.resize(groups_.size());
+  for (std::size_t r = 0; r < blobs.size(); ++r) {
+    const auto range = rank_group_range(groups_.size(), blobs.size(), r);
+    const std::vector<double>& blob = blobs[r];
+    std::size_t expected = 0;
+    for (std::size_t g = range.first; g < range.second; ++g) {
+      expected += 2 * groups_[g].size() + kReportWords;
+    }
+    IMRDMD_REQUIRE_DIMS(
+        blob.size() == expected,
+        "distributed assessor rank contribution has the wrong length");
+    const double* cursor = blob.data();
+    for (std::size_t g = range.first; g < range.second; ++g) {
       const auto& group = groups_[g];
       for (std::size_t i = 0; i < group.size(); ++i) {
-        snapshot.magnitudes[group[i]] = updates[g].magnitudes[i];
-        snapshot.sensor_means[group[i]] = updates[g].sensor_means[i];
+        snapshot.magnitudes[group[i]] = cursor[i];
+        snapshot.sensor_means[group[i]] = cursor[group.size() + i];
       }
-      snapshot.reports.push_back(updates[g].report);
-    }
-  } else {
-    // One ragged allgather carries this rank's whole contribution: for
-    // each owned group, in global group order, [magnitudes | sensor_means
-    // | report]. Boundaries are recovered from the shared ownership map,
-    // so every rank decodes the identical global sequence.
-    std::vector<double> local_blob;
-    std::size_t local_values = 0;
-    for (std::size_t l = 0; l < local_count; ++l) {
-      local_values += groups_[local_begin_ + l].size();
-    }
-    local_blob.reserve(2 * local_values + kReportWords * local_count);
-    for (std::size_t l = 0; l < local_count; ++l) {
-      local_blob.insert(local_blob.end(), updates[l].magnitudes.begin(),
-                        updates[l].magnitudes.end());
-      local_blob.insert(local_blob.end(), updates[l].sensor_means.begin(),
-                        updates[l].sensor_means.end());
-      encode_report(local_blob, updates[l].report);
-    }
-    const std::vector<std::vector<double>> blobs = comm_->allgatherv(
-        std::span<const double>(local_blob.data(), local_blob.size()));
-
-    snapshot.reports.resize(groups_.size());
-    const std::size_t ranks = static_cast<std::size_t>(comm_->size());
-    for (std::size_t r = 0; r < ranks; ++r) {
-      const auto range = rank_group_range(groups_.size(), ranks, r);
-      const std::vector<double>& blob = blobs[r];
-      std::size_t expected = 0;
-      for (std::size_t g = range.first; g < range.second; ++g) {
-        expected += 2 * groups_[g].size() + kReportWords;
-      }
-      IMRDMD_REQUIRE_DIMS(
-          blob.size() == expected,
-          "distributed assessor rank contribution has the wrong length");
-      const double* cursor = blob.data();
-      for (std::size_t g = range.first; g < range.second; ++g) {
-        const auto& group = groups_[g];
-        for (std::size_t i = 0; i < group.size(); ++i) {
-          snapshot.magnitudes[group[i]] = cursor[i];
-          snapshot.sensor_means[group[i]] = cursor[group.size() + i];
-        }
-        snapshot.reports[g] = decode_report(cursor + 2 * group.size());
-        cursor += 2 * group.size() + kReportWords;
-      }
+      snapshot.reports[g] = decode_report(cursor + 2 * group.size());
+      cursor += 2 * group.size() + kReportWords;
     }
   }
   snapshot.total_snapshots = snapshots_seen_ + cols;
   snapshot.fit_seconds = timer.seconds();
 
-  if (hierarchical) {
-    // The merged sensor_means already carry RAW per-row means (substituted
-    // by the process paths before the merge — bitwise row_means(chunk)
-    // since row means are per-row independent), so the baseline value-range
-    // rule reads physical temperatures here with no full chunk in sight.
+  if (stack_.hierarchical()) {
+    // The merged sensor_means carry RAW per-row means (substituted by the
+    // fold), so the baseline value-range rule reads physical temperatures.
     snapshot.coarse_magnitudes = std::move(coarse.magnitudes);
     snapshot.coarse_report = coarse.report;
     snapshot.coarse_fit_seconds = coarse.fit_seconds;
@@ -692,7 +646,9 @@ AssessmentSnapshot Assessor::merge_and_score(
                               ? fit
                               : 0.7 * group_cost_ewma_[l] + 0.3 * fit;
   }
-  if (config_.checkpoint_policy.delta) delta_pending_.push_back(raw_rows);
+  // The delta journal keeps this chunk's owned raw rows until the next
+  // delta save.
+  if (config_.checkpoint_policy.delta) delta_pending_.push_back(local_rows);
 
   snapshots_seen_ += cols;
   ++chunks_processed_;
@@ -783,16 +739,9 @@ void Assessor::add_sensors(std::size_t group, const Mat& new_rows_history) {
                             static_cast<double>(new_rows_history.rows()),
                             static_cast<double>(new_rows_history.cols()),
                             chunk_digest(new_rows_history)};
-    const std::vector<std::vector<double>> metas =
-        comm_->allgatherv(std::span<const double>(meta, 4));
-    for (const auto& slot : metas) {
-      if (slot.size() != 4 ||
-          std::memcmp(slot.data(), meta, sizeof meta) != 0) {
-        throw InvalidArgument(
-            "distributed assessor ranks disagree on the sensor growth "
-            "(group, shape, or history content)");
-      }
-    }
+    require_agreement(meta,
+                      "distributed assessor ranks disagree on the sensor "
+                      "growth (group, shape, or history content)");
   }
 
   const std::size_t width = new_rows_history.rows();
@@ -803,7 +752,6 @@ void Assessor::add_sensors(std::size_t group, const Mat& new_rows_history) {
   sensors_ += width;
   config_.sensor_count = sensors_;
   config_.groups = groups_;
-  identity_partition_ = false;
   rebuild_owned_maps();
 
   const bool owned = group >= local_begin_ && group < local_end_;
@@ -1101,7 +1049,7 @@ RunSummary Assessor::run_until(ChunkSource* source, SnapshotSink& sink,
           break;
         }
         check_stream_position(agreed_start, cols);
-        snapshot = process_chunk_sliced(
+        snapshot = fold_and_score(
             current->chunk,
             stack_.hierarchical() ? assemble_coarse(current->chunk, cols)
                                   : Mat(),
@@ -1167,7 +1115,7 @@ RunSummary Assessor::run_until(ChunkSource* source, SnapshotSink& sink,
         if (!mine.empty()) {
           std::copy(mine.begin(), mine.end(), local_rows.data());
         }
-        snapshot = process_chunk_sliced(
+        snapshot = fold_and_score(
             local_rows,
             stack_.hierarchical() ? assemble_coarse(local_rows, cols)
                                   : Mat(),

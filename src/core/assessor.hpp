@@ -15,6 +15,10 @@
 //   * ONE run loop owns prefetch (a backpressure-aware depth-N bounded
 //     queue), the carry/parking no-data-loss discipline, and the periodic
 //     checkpoint hook, for all three topologies;
+//   * ONE fold and ONE merge process every chunk: each process folds the
+//     rows it owns into its group models and merges every rank's
+//     contribution in global group order — a single process is the
+//     one-rank case of the distributed path;
 //   * results stream out through a push-based SnapshotSink observer instead
 //     of an accumulated std::vector, so an unbounded stream runs in bounded
 //     memory (ROADMAP north star: millions of users, backpressure-aware
@@ -36,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -415,11 +420,12 @@ class Assessor {
   explicit Assessor(AssessorConfig config);
 
   /// Processes one P x T_chunk chunk (the first call performs the initial
-  /// fit of every group model). Rejects zero-column chunks and row-count
-  /// changes with InvalidArgument. Collective in the distributed topology:
-  /// every rank passes the same chunk (rank disagreement on width OR
-  /// content — checked through a bitwise digest — fails on every rank
-  /// together).
+  /// fit of every group model): reads this process's owned rows and the
+  /// coarse grid rows off it and runs the same fold as the run loop.
+  /// Rejects zero-column chunks and row-count changes with
+  /// InvalidArgument. Collective in the distributed topology: every rank
+  /// passes the same chunk (rank disagreement on width OR content —
+  /// checked through a bitwise digest — fails on every rank together).
   AssessmentSnapshot process(const Mat& chunk);
 
   /// Pulls chunks from `source` until exhaustion, pushing each snapshot to
@@ -526,28 +532,29 @@ class Assessor {
   /// the deferred-monolithic constructor path).
   void finalize_topology(std::size_t sensors);
   ThreadPool& pool() const;
-  /// Runs this process's group updates across the local lanes (the
-  /// cost-balanced lane_groups_ assignment).
-  void update_local_groups(const Mat& chunk,
-                           std::vector<MagnitudeUpdate>& updates);
-  /// The full-chunk processing path (every single-process call, and direct
-  /// distributed process() calls).
-  AssessmentSnapshot process_chunk_full(const Mat& chunk);
-  /// The row-sliced processing path (Scatterv/PerRank): `local_rows` is
-  /// this rank's owned raw rows (owned_sensor_rows() order) and
-  /// `coarse_chunk` the assembled coarse grid rows (empty in flat mode).
-  AssessmentSnapshot process_chunk_sliced(const Mat& local_rows,
-                                          const Mat& coarse_chunk,
-                                          std::size_t cols);
-  /// The shared tail of both paths: merge the per-group updates in
-  /// deterministic group order (allgatherv in the distributed topology),
-  /// run the replicated z-score stage, fold the lane cost model, capture
-  /// the delta journal record (`raw_rows`: the owned raw rows; empty when
-  /// the journal is disarmed), and advance the counters. `timer` is the
-  /// caller's running fit timer (fit_seconds spans fit + merge).
-  AssessmentSnapshot merge_and_score(std::vector<MagnitudeUpdate>& updates,
-                                     CoarseUpdate&& coarse, const Mat& raw_rows,
-                                     std::size_t cols, WallTimer timer);
+  /// The distributed agreement collective: allgathers `meta` and throws
+  /// InvalidArgument(`what`) on every rank together when any rank's slot
+  /// differs from its own. Distributed topology only.
+  void require_agreement(std::span<const double> meta,
+                         const char* what) const;
+  /// The one chunk fold, for every topology: `local_rows` is this
+  /// process's owned raw rows (owned_sensor_rows() order; a single process
+  /// owns every row) and `coarse_chunk` the coarse grid rows (empty in flat
+  /// mode). Updates the replicated coarse model, then every owned group
+  /// model across the local lanes, and fills `updates` (one per local
+  /// group, raw sensor means). Touches the models only — no journal, no
+  /// z-score stage, no counters — so checkpoint replay refolds journaled
+  /// chunks through it too.
+  CoarseUpdate fold(const Mat& local_rows, const Mat& coarse_chunk,
+                    std::size_t cols, std::vector<MagnitudeUpdate>& updates);
+  /// One chunk's processing from its owned rows: fold(), then the merge in
+  /// deterministic global group order (the distributed topology allgathers
+  /// every rank's contribution; a single process is the one-rank case),
+  /// the replicated z-score stage, the lane cost model, the delta journal
+  /// record (the owned raw rows, when the journal is armed), and the
+  /// counters. fit_seconds spans fold + merge.
+  AssessmentSnapshot fold_and_score(const Mat& local_rows,
+                                    const Mat& coarse_chunk, std::size_t cols);
   /// Rebuilds owned_rows_ / group_of_sensor_ / local_row_of_sensor_ from
   /// the current partition and ownership range.
   void rebuild_owned_maps();
@@ -556,8 +563,8 @@ class Assessor {
   /// so every rank throws together) and advances the expectation.
   void check_stream_position(std::size_t start, std::size_t cols);
   /// Assembles the full coarse grid rows from each rank's owned slice
-  /// (one allgatherv; grid row order, bitwise what update_coarse would
-  /// subsample from the full chunk).
+  /// (one allgatherv; grid row order, bitwise what process() reads off the
+  /// full chunk).
   Mat assemble_coarse(const Mat& local_rows, std::size_t cols);
   /// Recomputes the cost-balanced lane assignment (LPT greedy over
   /// width x observed-update-time EWMA; width alone before the first
@@ -582,10 +589,13 @@ class Assessor {
   std::size_t local_begin_ = 0;
   std::size_t local_end_ = 0;
   std::size_t lanes_ = 1;
-  /// True for the trivial partition {0..P-1}: chunks bypass the row gather.
-  bool identity_partition_ = false;
+  /// True when owned_rows_ is exactly 0..P-1 in order (monolithic, or
+  /// contiguous groups all on this process): process() then hands the
+  /// chunk itself to the fold, with no gather copy.
+  bool owned_rows_in_order_ = false;
   /// Owned machine sensor indices, group order then group-list order — the
-  /// row layout of the sliced ingestion modes and the delta journal.
+  /// row layout of the fold, the sliced ingestion modes, and the delta
+  /// journal.
   std::vector<std::size_t> owned_rows_;
   /// Machine sensor index -> owning global group (replicated).
   std::vector<std::size_t> group_of_sensor_;

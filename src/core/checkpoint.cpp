@@ -332,18 +332,26 @@ struct CheckpointAccess {
   static void put_model(std::ostream& out, const IncrementalMrdmd& model,
                         const bool* parallel_bins_override = nullptr);
   static IncrementalMrdmd get_model(BoundedReader& in);
-  /// The "IMRDFL1"/"IMRDFL2" container over any single-process engine.
-  static void save_single(std::ostream& out, const Assessor& assessor);
-  /// Collective save of a distributed-topology engine (same bytes).
-  static void save_distributed(std::ostream* out, const Assessor& assessor);
+  /// One model image, with parallel_bins written as `canonical_bins` (see
+  /// put_model).
+  static std::string model_section(const IncrementalMrdmd& model,
+                                   bool canonical_bins);
+  /// This process's owned group sections, serialized concurrently across
+  /// the engine's worker lanes, in local group order.
+  static std::vector<std::string> owned_sections(const Assessor& assessor);
+  /// The "IMRDFL1"/"IMRDFL2" container, any topology: the distributed
+  /// topology gathers every rank's owned sections to rank 0 (`out` is
+  /// non-null there only), a single process writes its own; the bytes are
+  /// identical for any lane or rank count.
+  static void save_fleet(std::ostream* out, const Assessor& assessor);
   /// The "IMRDFL3" rank-local delta container: every process writes (or
   /// appends to) its own part file; rank 0 atomically rewrites the main
   /// manifest. Collective in the distributed topology.
   static void save_fleet3(const std::string& path, const Assessor& assessor);
   /// Loads an "IMRDFL3" container (`in` is the main file, magic already
   /// consumed): restores the base models from the part files, replays the
-  /// journaled delta chunks through them, and validates the result against
-  /// the manifest's final counters.
+  /// journaled delta chunks through Assessor::fold, and validates the
+  /// result against the manifest's final counters.
   static RestoredAssessor load_fleet3(const std::string& path,
                                       BoundedReader& in,
                                       dist::Communicator* comm,
@@ -623,10 +631,15 @@ IncrementalMrdmd CheckpointAccess::get_model(BoundedReader& in) {
 
 namespace {
 
-/// The container preamble shared by the single-process and distributed
-/// writers: version magic (V2 exactly when hierarchical), stage header,
-/// partition, and — V2 only — the hierarchy section with the replicated
-/// coarse model (canonicalized like every model section).
+void put_bytes(std::ostream& out, const std::string& bytes) {
+  put_u64(out, bytes.size());
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The IMRDFL1/IMRDFL2 preamble: version magic (V2 exactly when
+/// hierarchical), stage header, partition, and — V2 only — the hierarchy
+/// section with the replicated coarse model (canonicalized like every model
+/// section).
 void put_fleet_preamble(std::ostream& out, const Assessor& assessor,
                         bool canonical_bins) {
   const bool hierarchical = assessor.hierarchical();
@@ -642,57 +655,10 @@ void put_fleet_preamble(std::ostream& out, const Assessor& assessor,
   }
   if (hierarchical) {
     put_u64(out, assessor.coarse_stride());
-    std::ostringstream buffer;
-    CheckpointAccess::put_model(buffer, assessor.coarse_model(),
-                                &canonical_bins);
-    const std::string bytes = std::move(buffer).str();
-    put_u64(out, bytes.size());
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    put_bytes(out, CheckpointAccess::model_section(assessor.coarse_model(),
+                                                   canonical_bins));
   }
 }
-
-}  // namespace
-
-void CheckpointAccess::save_single(std::ostream& out,
-                                   const Assessor& assessor) {
-  IMRDMD_REQUIRE_ARG(assessor.comm_ == nullptr,
-                     "use the collective save for a distributed engine");
-  IMRDMD_REQUIRE_ARG(assessor.chunks_processed_ >= 1,
-                     "cannot checkpoint a fleet before its first chunk");
-  IMRDMD_REQUIRE_ARG(
-      !assessor.stack_.hierarchical() ||
-          assessor.stack_.coarse_grid_canonical(),
-      "an elastically grown hierarchical stack cannot be saved into the "
-      "IMRDFL1/IMRDFL2 containers (they re-derive the coarse grid on "
-      "load); enable the delta (IMRDFL3) checkpoint policy");
-  const bool canonical_bins =
-      assessor.config_.pipeline_options.imrdmd.mrdmd.parallel_bins;
-  put_fleet_preamble(out, assessor, canonical_bins);
-
-  // Serialize the per-group model images concurrently across the engine's
-  // worker lanes (the same lane structure process() uses); the images are
-  // then concatenated in deterministic group order, so the bytes are
-  // identical for any lane count.
-  const std::size_t group_count = assessor.groups_.size();
-  std::vector<std::string> sections(group_count);
-  run_lanes(
-      assessor.lanes_,
-      [&assessor, &sections, &canonical_bins, group_count](std::size_t lane) {
-        for (std::size_t g = lane; g < group_count; g += assessor.lanes_) {
-          std::ostringstream buffer;
-          put_model(buffer, assessor.stack_.fine(g), &canonical_bins);
-          sections[g] = std::move(buffer).str();
-        }
-      },
-      &assessor.pool());
-  for (const std::string& section : sections) {
-    put_u64(out, section.size());
-    out.write(section.data(), static_cast<std::streamsize>(section.size()));
-  }
-  if (!out) throw Error("fleet checkpoint write failed");
-}
-
-namespace {
 
 /// Packs one rank's model sections into the doubles the communicator
 /// speaks: [section_count, then per section: byte_length,
@@ -714,15 +680,14 @@ std::vector<double> pack_sections(const std::vector<std::string>& sections) {
   return blob;
 }
 
-/// Inverse of pack_sections; `expected` is the section count this rank was
-/// supposed to contribute (its owned group count).
-std::vector<std::string> unpack_sections(const std::vector<double>& blob,
-                                         std::size_t expected) {
+/// Inverse of pack_sections, appending to `sections`; `expected` is the
+/// section count this rank was supposed to contribute (its owned group
+/// count).
+void unpack_sections(const std::vector<double>& blob, std::size_t expected,
+                     std::vector<std::string>& sections) {
   IMRDMD_REQUIRE_DIMS(!blob.empty() &&
                           blob[0] == static_cast<double>(expected),
                       "distributed checkpoint rank section count mismatch");
-  std::vector<std::string> sections;
-  sections.reserve(expected);
   std::size_t cursor = 1;
   for (std::size_t s = 0; s < expected; ++s) {
     IMRDMD_REQUIRE_DIMS(cursor < blob.size(),
@@ -738,22 +703,42 @@ std::vector<std::string> unpack_sections(const std::vector<double>& blob,
   }
   IMRDMD_REQUIRE_DIMS(cursor == blob.size(),
                       "distributed checkpoint rank blob has trailing bytes");
-  return sections;
 }
 
 }  // namespace
 
-void CheckpointAccess::save_distributed(std::ostream* out,
-                                        const Assessor& assessor) {
-  IMRDMD_REQUIRE_ARG(assessor.comm_ != nullptr,
-                     "this engine is not distributed");
-  dist::Communicator& comm = *assessor.comm_;
-  const bool root = comm.rank() == 0;
+std::string CheckpointAccess::model_section(const IncrementalMrdmd& model,
+                                            bool canonical_bins) {
+  std::ostringstream buffer;
+  put_model(buffer, model, &canonical_bins);
+  return std::move(buffer).str();
+}
+
+std::vector<std::string> CheckpointAccess::owned_sections(
+    const Assessor& assessor) {
+  const std::size_t local_count = assessor.local_end_ - assessor.local_begin_;
+  const bool canonical_bins =
+      assessor.config_.pipeline_options.imrdmd.mrdmd.parallel_bins;
+  std::vector<std::string> sections(local_count);
+  run_lanes(
+      assessor.lanes_,
+      [&assessor, &sections, canonical_bins, local_count](std::size_t lane) {
+        for (std::size_t l = lane; l < local_count; l += assessor.lanes_) {
+          sections[l] = model_section(assessor.stack_.fine(l), canonical_bins);
+        }
+      },
+      &assessor.pool());
+  return sections;
+}
+
+void CheckpointAccess::save_fleet(std::ostream* out,
+                                  const Assessor& assessor) {
+  const bool root = assessor.rank() == 0;
   IMRDMD_REQUIRE_ARG(root == (out != nullptr),
                      "the checkpoint stream lives on rank 0 only (pass "
                      "nullptr on the other ranks)");
-  // chunks_processed_ is replicated, so on an unstarted engine every rank
-  // throws here together — before any collective.
+  // chunks_processed_ is replicated, so on an unstarted distributed engine
+  // every rank throws here together — before any collective.
   IMRDMD_REQUIRE_ARG(assessor.chunks_processed_ >= 1,
                      "cannot checkpoint a fleet before its first chunk");
   IMRDMD_REQUIRE_ARG(
@@ -763,49 +748,32 @@ void CheckpointAccess::save_distributed(std::ostream* out,
       "IMRDFL1/IMRDFL2 containers (they re-derive the coarse grid on "
       "load); enable the delta (IMRDFL3) checkpoint policy");
 
-  // Serialize the owned groups' model images concurrently across this
-  // rank's local lanes (the same lane structure process() uses), in local
-  // group order.
-  const std::size_t local_count = assessor.local_end_ - assessor.local_begin_;
-  const bool canonical_bins =
-      assessor.config_.pipeline_options.imrdmd.mrdmd.parallel_bins;
-  std::vector<std::string> sections(local_count);
-  run_lanes(
-      assessor.lanes_,
-      [&assessor, &sections, &canonical_bins, local_count](std::size_t lane) {
-        for (std::size_t l = lane; l < local_count; l += assessor.lanes_) {
-          std::ostringstream buffer;
-          put_model(buffer, assessor.stack_.fine(l), &canonical_bins);
-          sections[l] = std::move(buffer).str();
-        }
-      },
-      &assessor.pool());
-
-  // One ragged gather moves every rank's sections to the writer. Rank
-  // blocks arrive in rank order and ownership ranges are contiguous, so
-  // concatenation IS global group order — the same order (and bytes) the
-  // single-process save_single writes.
-  const std::vector<double> blob = pack_sections(sections);
-  const std::vector<std::vector<double>> blobs =
-      comm.gatherv(std::span<const double>(blob.data(), blob.size()), 0);
-  if (!root) return;
+  std::vector<std::string> sections = owned_sections(assessor);
+  if (assessor.comm_ != nullptr) {
+    // One ragged gather moves every rank's sections to the writer. Rank
+    // blocks arrive in rank order and ownership ranges are contiguous, so
+    // concatenation IS global group order — the order a single process
+    // writes.
+    const std::vector<double> blob = pack_sections(sections);
+    const std::vector<std::vector<double>> blobs = assessor.comm_->gatherv(
+        std::span<const double>(blob.data(), blob.size()), 0);
+    if (!root) return;
+    sections.clear();
+    for (std::size_t r = 0; r < blobs.size(); ++r) {
+      const auto range =
+          rank_group_range(assessor.groups_.size(), blobs.size(), r);
+      unpack_sections(blobs[r], range.second - range.first, sections);
+    }
+  }
 
   // Rank 0's coarse replica is every rank's coarse replica (the coarse
   // update is deterministic over the same coarse grid rows on every rank),
   // so the hierarchy section needs no gather and the bytes stay rank-count
   // invariant.
-  put_fleet_preamble(*out, assessor, canonical_bins);
-  const std::size_t ranks = static_cast<std::size_t>(comm.size());
-  for (std::size_t r = 0; r < ranks; ++r) {
-    const auto range = rank_group_range(assessor.groups_.size(), ranks, r);
-    const std::vector<std::string> rank_sections =
-        unpack_sections(blobs[r], range.second - range.first);
-    for (const std::string& section : rank_sections) {
-      put_u64(*out, section.size());
-      out->write(section.data(),
-                 static_cast<std::streamsize>(section.size()));
-    }
-  }
+  put_fleet_preamble(
+      *out, assessor,
+      assessor.config_.pipeline_options.imrdmd.mrdmd.parallel_bins);
+  for (const std::string& section : sections) put_bytes(*out, section);
   if (!*out) throw Error("fleet checkpoint write failed");
 }
 
@@ -839,22 +807,13 @@ void CheckpointAccess::save_fleet3(const std::string& path,
     const std::size_t epoch = assessor.delta_epoch_ + 1;
     std::ostringstream part;
     part.write(kPartMagic, sizeof kPartMagic);
-    const std::size_t local_count =
-        assessor.local_end_ - assessor.local_begin_;
-    put_u64(part,
-            local_count + ((root && hierarchical) ? std::size_t{1} : 0));
-    const auto put_section = [&part, &canonical_bins](
-                                 const IncrementalMrdmd& model) {
-      std::ostringstream buffer;
-      put_model(buffer, model, &canonical_bins);
-      const std::string bytes = std::move(buffer).str();
-      put_u64(part, bytes.size());
-      part.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    };
-    if (root && hierarchical) put_section(assessor.stack_.coarse());
-    for (std::size_t l = 0; l < local_count; ++l) {
-      put_section(assessor.stack_.fine(l));
+    const std::vector<std::string> sections = owned_sections(assessor);
+    const bool with_coarse = root && hierarchical;
+    put_u64(part, sections.size() + (with_coarse ? std::size_t{1} : 0));
+    if (with_coarse) {
+      put_bytes(part, model_section(assessor.stack_.coarse(), canonical_bins));
     }
+    for (const std::string& section : sections) put_bytes(part, section);
     const std::string bytes = std::move(part).str();
     const std::string part_file = part_path(path, writer, epoch);
     std::ofstream out(part_file, std::ios::binary | std::ios::trunc);
@@ -1157,49 +1116,42 @@ RestoredAssessor CheckpointAccess::load_fleet3(
         "position");
   }
 
-  const dmd::ModeBand band = parsed.stage_options.band;
   RestoredAssessor restored = assemble(std::move(parsed), comm, resume);
   Assessor& assessor = restored.assessor;
 
-  // Replay: rebuild each journaled chunk at full width from the per-writer
-  // slices and refold it — the identical deterministic operations the live
-  // engine ran (replicated coarse update, per-group partial fits), so the
-  // resumed models are bitwise the live ones.
-  const std::size_t sensors = assessor.sensors_;
+  // Replay: refold each journaled chunk through the engine's own fold — the
+  // identical deterministic operations the live engine ran (replicated
+  // coarse update, per-group fits), so the resumed models are bitwise the
+  // live ones. The fold touches only the models; the z-score stage and
+  // counters were restored as saved. Each sensor's raw row is found in the
+  // writer slices through the writing topology's ownership.
+  std::vector<std::pair<std::size_t, std::size_t>> slot_of(assessor.sensors_);
+  for (std::size_t w = 0; w < writers; ++w) {
+    const auto range = rank_group_range(assessor.groups_.size(), writers, w);
+    std::size_t row = 0;
+    for (std::size_t g = range.first; g < range.second; ++g) {
+      for (std::size_t sensor : assessor.groups_[g]) {
+        slot_of[sensor] = {w, row++};
+      }
+    }
+  }
+  const auto rows_of = [&](std::size_t record,
+                           const std::vector<std::size_t>& sensors) {
+    const std::size_t cols = record_cols[record];
+    linalg::Mat rows(sensors.size(), cols);
+    for (std::size_t i = 0; i < sensors.size(); ++i) {
+      const auto [w, row] = slot_of[sensors[i]];
+      const double* src = writer_records[w][record].data() + row * cols;
+      std::copy(src, src + cols, rows.data() + i * cols);
+    }
+    return rows;
+  };
+  std::vector<MagnitudeUpdate> updates;
   for (std::size_t i = 0; i < record_count; ++i) {
-    const std::size_t cols = record_cols[i];
-    linalg::Mat chunk(sensors, cols);
-    for (std::size_t w = 0; w < writers; ++w) {
-      const auto range =
-          rank_group_range(assessor.groups_.size(), writers, w);
-      const linalg::Mat& slice = writer_records[w][i];
-      std::size_t row = 0;
-      for (std::size_t g = range.first; g < range.second; ++g) {
-        for (std::size_t sensor : assessor.groups_[g]) {
-          std::copy(slice.data() + row * cols,
-                    slice.data() + (row + 1) * cols,
-                    chunk.data() + sensor * cols);
-          ++row;
-        }
-      }
-    }
-    linalg::Mat residual;
-    if (hierarchical) {
-      assessor.stack_.update_coarse(chunk, band, residual);
-    }
-    const linalg::Mat& fine_input = hierarchical ? residual : chunk;
-    const std::size_t local_count =
-        assessor.local_end_ - assessor.local_begin_;
-    for (std::size_t l = 0; l < local_count; ++l) {
-      const auto& group = assessor.groups_[assessor.local_begin_ + l];
-      linalg::Mat block(group.size(), cols);
-      for (std::size_t r = 0; r < group.size(); ++r) {
-        std::copy(fine_input.data() + group[r] * cols,
-                  fine_input.data() + (group[r] + 1) * cols,
-                  block.data() + r * cols);
-      }
-      assessor.stack_.fine(l).partial_fit(block);
-    }
+    assessor.fold(rows_of(i, assessor.owned_rows_),
+                  hierarchical ? rows_of(i, assessor.stack_.coarse_rows())
+                               : linalg::Mat(),
+                  record_cols[i], updates);
   }
 
   // Post-replay coherence: every restored model must have arrived exactly
@@ -1320,17 +1272,13 @@ IncrementalMrdmd load_checkpoint_file(const std::string& path) {
 // --- Assessor ------------------------------------------------------------
 
 void save_assessor_checkpoint(std::ostream& out, const Assessor& assessor) {
-  CheckpointAccess::save_single(out, assessor);
+  IMRDMD_REQUIRE_ARG(!assessor.distributed_topology(),
+                     "use the collective save for a distributed engine");
+  CheckpointAccess::save_fleet(&out, assessor);
 }
 
 void save_assessor_checkpoint(std::ostream* out, const Assessor& assessor) {
-  if (assessor.distributed_topology()) {
-    CheckpointAccess::save_distributed(out, assessor);
-  } else {
-    IMRDMD_REQUIRE_ARG(out != nullptr,
-                       "a single-process save needs an output stream");
-    CheckpointAccess::save_single(*out, assessor);
-  }
+  CheckpointAccess::save_fleet(out, assessor);
 }
 
 void save_assessor_checkpoint_file(const std::string& path,
@@ -1342,13 +1290,13 @@ void save_assessor_checkpoint_file(const std::string& path,
     CheckpointAccess::save_fleet3(path, assessor);
     return;
   }
-  if (assessor.distributed_topology() && assessor.rank() != 0) {
+  if (assessor.rank() != 0) {
     // Peers only feed the gather; the file belongs to rank 0.
-    CheckpointAccess::save_distributed(nullptr, assessor);
+    CheckpointAccess::save_fleet(nullptr, assessor);
     return;
   }
   write_file_atomic(path, [&assessor](std::ostream& out) {
-    save_assessor_checkpoint(&out, assessor);
+    CheckpointAccess::save_fleet(&out, assessor);
   });
 }
 

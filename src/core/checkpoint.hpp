@@ -16,9 +16,13 @@
 //     section per group). A flat engine writes the "IMRDFL1" container;
 //     a hierarchical engine writes "IMRDFL2", which inserts the coarse
 //     stride and one coarse-model section between the partition and the
-//     per-group sections. In the distributed topology the save is a
-//     collective gather to rank 0 that writes the SAME bytes as the
-//     single-process save — byte-identical for any lane or rank count.
+//     per-group sections. One writer serves every topology: each process
+//     serializes its owned groups' sections across its lanes, the
+//     distributed topology gathers them to rank 0 (a single process is the
+//     one-rank case), and the bytes are identical for any lane or rank
+//     count. The "IMRDFL3" delta container (CheckpointPolicy::delta) writes
+//     the same sections as its base and, on load, replays the journaled
+//     chunks through the engine's own fold.
 //   * Loads accept every container generation: "IMRDPL1" (written by the
 //     retired monolithic pipeline drivers; load-only, pinned by a golden
 //     file under tests/data/) and "IMRDFL1" load as stride-disabled flat
@@ -85,13 +89,12 @@ struct RestoredAssessor {
   std::uint64_t stream_position = 0;
 };
 
-/// Serializes the engine's full resumable state. Single-process topologies
-/// write directly; the distributed topology is a collective (every rank
-/// serializes its owned groups' sections across its local lanes and
-/// contributes them through one ragged gather; rank 0 assembles in global
-/// group order) — use the pointer overload there, with `out` non-null on
-/// rank 0 only. The bytes are identical for any lane or rank count. The
-/// engine must have processed at least one chunk.
+/// Serializes the engine's full resumable state. Every process serializes
+/// its owned groups' sections across its local lanes; in the distributed
+/// topology the save is a collective (one ragged gather; rank 0 writes in
+/// global group order) — use the pointer overload there, with `out`
+/// non-null on rank 0 only. The bytes are identical for any lane or rank
+/// count. The engine must have processed at least one chunk.
 void save_assessor_checkpoint(std::ostream& out, const Assessor& assessor);
 void save_assessor_checkpoint(std::ostream* out, const Assessor& assessor);
 /// Atomic (write-temp-then-rename) on the writing rank; dispatches on the

@@ -115,20 +115,6 @@ std::vector<double> Communicator::scatterv(std::span<const double> send,
   return mine;
 }
 
-std::vector<double> Communicator::allgather(std::span<const double> local) {
-  std::vector<double> all;
-  exchange(local, [&](const std::vector<std::vector<double>>& slots) {
-    std::size_t total = 0;
-    for (const auto& slot : slots) total += slot.size();
-    all.reserve(total);
-    for (const auto& slot : slots) {
-      all.insert(all.end(), slot.begin(), slot.end());
-    }
-  });
-  wire_bytes_ += (all.size() - local.size()) * sizeof(double);
-  return all;
-}
-
 std::vector<std::vector<double>> Communicator::allgatherv(
     std::span<const double> local) {
   std::vector<std::vector<double>> all;

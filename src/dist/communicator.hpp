@@ -1,6 +1,6 @@
 // Thread-SPMD "distributed" runtime: a World of N ranks, each a thread
 // running the same function, talking through a Communicator of MPI-shaped
-// collectives (barrier, broadcast, scatterv, allgather, gatherv).
+// collectives (barrier, broadcast, scatterv, allgatherv, gatherv).
 //
 // The point is to exercise the *communication pattern* of the distributed
 // Assessor topology (row-sliced ingestion, the per-chunk merge, collective
@@ -55,20 +55,12 @@ class Communicator {
   /// Replicates `buffer` from `root` to every rank (in place).
   void broadcast(std::span<double> buffer, int root);
 
-  /// Concatenates every rank's contribution in rank order, replicated on
-  /// all ranks. Contributions may differ in length — but the flat result
-  /// erases the per-rank boundaries, so a caller that needs to know where
-  /// rank r's bytes start (or wants to *validate* per-rank lengths rather
-  /// than assume them uniform) must use allgatherv instead.
-  std::vector<double> allgather(std::span<const double> local);
-
   /// Ragged allgather: every rank's contribution, in rank order, with the
   /// per-rank boundaries preserved (result[r] is rank r's contribution,
-  /// possibly empty). Replicated on all ranks. This is the primitive for
-  /// collectives whose per-rank payload sizes legitimately differ (e.g. a
-  /// fleet rank owning an uneven share of sensor groups) and for callers
-  /// that must *check* an agreed-uniform-length contract instead of
-  /// silently misparsing a flat concatenation.
+  /// possibly empty). Replicated on all ranks. The per-rank boundaries let
+  /// callers carry legitimately uneven payloads (e.g. a fleet rank owning
+  /// an uneven share of sensor groups) and *check* an agreed-uniform-length
+  /// contract instead of assuming it.
   std::vector<std::vector<double>> allgatherv(std::span<const double> local);
 
   /// Ragged gather: only `root` receives the per-rank contributions (with

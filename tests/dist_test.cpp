@@ -126,28 +126,11 @@ TEST(Communicator, BroadcastReplicatesRoot) {
   });
 }
 
-TEST(Communicator, AllgatherConcatenatesInRankOrder) {
-  dist::World world(3);
-  world.run([&](dist::Communicator& comm) {
-    // Variable-length contributions: rank r contributes r+1 values.
-    std::vector<double> local(comm.rank() + 1,
-                              static_cast<double>(comm.rank()));
-    const auto all =
-        comm.allgather(std::span<const double>(local.data(), local.size()));
-    ASSERT_EQ(all.size(), 1u + 2u + 3u);
-    EXPECT_EQ(all[0], 0.0);
-    EXPECT_EQ(all[1], 1.0);
-    EXPECT_EQ(all[2], 1.0);
-    EXPECT_EQ(all[5], 2.0);
-  });
-}
-
 TEST(Communicator, AllgathervPreservesRankBoundaries) {
-  // The flat allgather erases where one rank's contribution ends and the
-  // next begins — for legitimately ragged payloads (and for callers that
-  // must VALIDATE an assumed-uniform length) allgatherv keeps the per-rank
-  // structure. Rank r contributes r values here, including the empty
-  // contribution from rank 0.
+  // Legitimately ragged payloads (and callers that must VALIDATE an
+  // assumed-uniform length) need the per-rank structure kept. Rank r
+  // contributes r values here, including the empty contribution from
+  // rank 0.
   dist::World world(4);
   world.run([&](dist::Communicator& comm) {
     std::vector<double> local(static_cast<std::size_t>(comm.rank()),

@@ -1,6 +1,8 @@
 // Two-level multifidelity hierarchy: the deterministic coarse grid, the
 // two-level z-score reconciliation, flat-mode bitwise identity with the
-// direct model composition, hierarchy bitwise invariance across lanes x
+// direct model composition (monolithic and a scattered sharded partition),
+// hierarchy bitwise identity with the direct stack composition, hierarchy
+// bitwise invariance across lanes x
 // prefetch depths x ranks, the IMRDMD_HIERARCHY_STRIDE environment
 // default, and the versioned IMRDFL2 checkpoint container (round-trip,
 // rank-count byte invariance, and truncation/corruption fuzz through the
@@ -71,6 +73,23 @@ void expect_snapshot_equal(const AssessmentSnapshot& a,
   expect_bitwise_equal(a.coarse_magnitudes, b.coarse_magnitudes);
   expect_bitwise_equal(a.coarse_zscores, b.coarse_zscores);
   expect_bitwise_equal(a.residual_zscores, b.residual_zscores);
+}
+
+/// A scattered, non-contiguous partition of hierarchy_data()'s 15 sensors:
+/// no group is a contiguous run, and the groups interleave.
+std::vector<std::vector<std::size_t>> scattered_groups() {
+  return {{14, 0, 7, 3, 11}, {1, 9, 5, 12, 6}, {2, 13, 8, 4, 10}};
+}
+
+/// The rows listed in `rows` out of `chunk`, in list order.
+Mat select_rows(const Mat& chunk, const std::vector<std::size_t>& rows) {
+  Mat out(rows.size(), chunk.cols());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t t = 0; t < chunk.cols(); ++t) {
+      out(i, t) = chunk(rows[i], t);
+    }
+  }
+  return out;
 }
 
 std::vector<AssessmentSnapshot> run_collect(Assessor& engine,
@@ -165,10 +184,14 @@ TEST(ModelStack, UpdateCoarseSubtractsInterpolatedReconstruction) {
   stack.enable_coarse(groups, 6, 1, options.imrdmd);
   core::IncrementalMrdmd reference(options.imrdmd);
 
+  // Stride 1 over contiguous groups: the coarse grid rows are the chunk's
+  // rows in order, and the caller owns every sensor.
+  const std::vector<std::size_t> sensors = {0, 1, 2, 3, 4, 5};
+  ASSERT_EQ(stack.coarse_rows(), sensors);
   const Mat first = data.block(0, 0, 6, 128);
   Mat residual;
   const core::CoarseUpdate update =
-      stack.update_coarse(first, options.band, residual);
+      stack.update_coarse(first, options.band, sensors, first, residual);
   reference.initial_fit(first);
   ASSERT_EQ(residual.rows(), first.rows());
   ASSERT_EQ(residual.cols(), first.cols());
@@ -182,7 +205,7 @@ TEST(ModelStack, UpdateCoarseSubtractsInterpolatedReconstruction) {
   // Second chunk: incremental path, same contract over the new window.
   const Mat second = data.block(0, 128, 6, 64);
   const core::CoarseUpdate next =
-      stack.update_coarse(second, options.band, residual);
+      stack.update_coarse(second, options.band, sensors, second, residual);
   reference.partial_fit(second);
   const Mat recon2 = reference.reconstruct(128, 192);
   for (std::size_t i = 0; i < residual.size(); ++i) {
@@ -315,6 +338,116 @@ TEST(Assessor, FlatModeMatchesDirectModelCompositionBitwise) {
     EXPECT_TRUE(snapshot.coarse_magnitudes.empty());
     EXPECT_TRUE(snapshot.coarse_zscores.empty());
     EXPECT_TRUE(snapshot.residual_zscores.empty());
+  }
+
+  // The same bar for a scattered, non-contiguous sharded partition: one
+  // standalone model per group fed that group's rows, merged back to
+  // machine order, at one lane and at several.
+  const auto groups = scattered_groups();
+  for (const std::size_t lanes : {1u, 3u}) {
+    AssessorConfig config;
+    config.pipeline(options)
+        .sharded(groups, lanes)
+        .sensors(data.rows())
+        .hierarchy(0);
+    Assessor sharded(config);
+    std::vector<core::IncrementalMrdmd> models(
+        groups.size(), core::IncrementalMrdmd(options.imrdmd));
+    BaselineZscoreStage sharded_stage(options.baseline, options.zscore,
+                                      options.reselect_baseline_per_chunk);
+    MatChunkSource replay(data, 256, 64);
+    while ((chunk = replay.next_chunk()).has_value()) {
+      const AssessmentSnapshot snapshot = sharded.process(*chunk);
+      std::vector<double> magnitudes(data.rows(), 0.0);
+      for (std::size_t g = 0; g < models.size(); ++g) {
+        const auto& group = groups[g];
+        const Mat rows = select_rows(*chunk, group);
+        if (models[g].fitted()) {
+          models[g].partial_fit(rows);
+        } else {
+          models[g].initial_fit(rows);
+        }
+        const std::vector<double> group_mags =
+            models[g].magnitudes(&options.band);
+        for (std::size_t i = 0; i < group.size(); ++i) {
+          magnitudes[group[i]] = group_mags[i];
+        }
+      }
+      const std::vector<double> means = core::row_means(*chunk);
+      const auto analysis = sharded_stage.apply(magnitudes, means);
+      expect_bitwise_equal(snapshot.magnitudes, magnitudes);
+      expect_bitwise_equal(snapshot.sensor_means, means);
+      expect_bitwise_equal(snapshot.zscores.zscores, analysis.zscores);
+      EXPECT_EQ(snapshot.zscores.baseline_sensors, analysis.baseline_sensors);
+    }
+  }
+}
+
+TEST(Assessor, HierarchyMatchesDirectStackCompositionBitwise) {
+  // Hierarchy mode against its definition, with no engine in the loop: a
+  // standalone ModelStack coarse level over the scattered partition at
+  // stride 2, one standalone model per group fed that group's residual
+  // rows, and BaselineZscoreStage::apply_reconciled over the raw means.
+  const Mat data = hierarchy_data();
+  const PipelineOptions options = hierarchy_pipeline_options();
+  const auto groups = scattered_groups();
+  for (const std::size_t lanes : {1u, 3u}) {
+    AssessorConfig config;
+    config.pipeline(options)
+        .sharded(groups, lanes)
+        .sensors(data.rows())
+        .hierarchy(2);
+    Assessor engine(config);
+    ASSERT_TRUE(engine.hierarchical());
+
+    ModelStack stack;
+    stack.enable_coarse(groups, data.rows(), 2, options.imrdmd);
+    std::vector<std::size_t> sensors(data.rows());
+    for (std::size_t p = 0; p < sensors.size(); ++p) sensors[p] = p;
+    std::vector<core::IncrementalMrdmd> models(
+        groups.size(), core::IncrementalMrdmd(options.imrdmd));
+    BaselineZscoreStage stage(options.baseline, options.zscore,
+                              options.reselect_baseline_per_chunk);
+    MatChunkSource source(data, 256, 64);
+    std::optional<Mat> chunk;
+    std::size_t chunks = 0;
+    while ((chunk = source.next_chunk()).has_value()) {
+      const AssessmentSnapshot snapshot = engine.process(*chunk);
+      Mat residual;
+      const core::CoarseUpdate coarse =
+          stack.update_coarse(select_rows(*chunk, stack.coarse_rows()),
+                              options.band, sensors, *chunk, residual);
+      std::vector<double> magnitudes(data.rows(), 0.0);
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        const Mat rows = select_rows(residual, groups[g]);
+        if (models[g].fitted()) {
+          models[g].partial_fit(rows);
+        } else {
+          models[g].initial_fit(rows);
+        }
+        const std::vector<double> group_mags =
+            models[g].magnitudes(&options.band);
+        for (std::size_t i = 0; i < groups[g].size(); ++i) {
+          magnitudes[groups[g][i]] = group_mags[i];
+        }
+      }
+      const std::vector<double> means = core::row_means(*chunk);
+      const ReconciledZscores reconciled =
+          stage.apply_reconciled(magnitudes, coarse.magnitudes, means);
+      expect_bitwise_equal(snapshot.magnitudes, magnitudes);
+      expect_bitwise_equal(snapshot.sensor_means, means);
+      expect_bitwise_equal(snapshot.coarse_magnitudes, coarse.magnitudes);
+      expect_bitwise_equal(snapshot.zscores.zscores,
+                           reconciled.combined.zscores);
+      EXPECT_EQ(snapshot.zscores.baseline_sensors,
+                reconciled.combined.baseline_sensors);
+      expect_bitwise_equal(snapshot.coarse_zscores,
+                           reconciled.coarse_zscores);
+      expect_bitwise_equal(snapshot.residual_zscores,
+                           reconciled.residual_zscores);
+      ++chunks;
+    }
+    EXPECT_EQ(chunks, 3u);
   }
 }
 
@@ -463,10 +596,13 @@ TEST(Assessor, EnvironmentStrideSuppliesTheDefaultOnly) {
 }
 
 TEST(Assessor, EnvironmentStrideRejectsGarbage) {
-  ScopedStrideEnv env("not-a-number");
-  EXPECT_THROW(
-      Assessor{AssessorConfig{}.pipeline(hierarchy_pipeline_options())},
-      InvalidArgument);
+  for (const char* garbage : {"not-a-number", "-1"}) {
+    ScopedStrideEnv env(garbage);
+    EXPECT_THROW(
+        Assessor{AssessorConfig{}.pipeline(hierarchy_pipeline_options())},
+        InvalidArgument)
+        << garbage;
+  }
 }
 
 // --- versioned checkpoint container --------------------------------------
