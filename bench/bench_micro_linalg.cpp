@@ -2,8 +2,9 @@
 // every registered backend (reference / avx2 / openblas when built in)
 // times the same small-block kernels — the tall-skinny GEMM rotation, the
 // orthogonal-complement projection, the thin QR of an update panel, and
-// the dense core-matrix SVD — and is checked against the reference result
-// under the banded contract while it runs. Not a paper artifact: these
+// the dense core-matrix SVD (a random core and the diag-plus-column core
+// of a rank-96 one-column update) — and is checked against the reference
+// result under the banded contract while it runs. Not a paper artifact: these
 // curves track the substrate every experiment is built from, and the
 // emitted BENCH_linalg.json records speedup_vs_reference per kernel so CI
 // can watch accelerated backends stay accelerated.
@@ -84,9 +85,22 @@ int main(int argc, char** argv) try {
   const linalg::Mat rot = random_matrix(r, r + c, rng);
   const linalg::Mat panel = random_matrix(P, c, rng);
   const linalg::Mat core = random_matrix(core_n, core_n, rng);
+  // The iSVD core K = [diag(s) U^T b; 0 rho] of a one-column update at
+  // rank 96, with s spread over six decades: the shape and conditioning
+  // the default uncapped level-1 model reaches on a long stream.
+  const std::size_t isvd_r = 96;
+  const std::size_t isvd_core_n = isvd_r + 1;
+  linalg::Mat isvd_core(isvd_core_n, isvd_core_n);
+  for (std::size_t i = 0; i < isvd_r; ++i) {
+    isvd_core(i, i) = std::pow(10.0, -6.0 * static_cast<double>(i) /
+                                         static_cast<double>(isvd_r - 1));
+    isvd_core(i, isvd_r) = 0.1 * rng.normal();
+  }
+  isvd_core(isvd_r, isvd_r) = 0.05;
 
-  std::printf("shapes: P=%zu r=%zu c=%zu core=%zux%zu, repeats=%zu\n\n", P, r,
-              c, core_n, core_n, repeats);
+  std::printf("shapes: P=%zu r=%zu c=%zu core=%zux%zu isvd_core=%zux%zu, "
+              "repeats=%zu\n\n",
+              P, r, c, core_n, core_n, isvd_core_n, isvd_core_n, repeats);
 
   // Reference results once, as the accuracy anchor for every backend.
   linalg::Backend* reference = linalg::find_backend("reference");
@@ -102,8 +116,10 @@ int main(int argc, char** argv) try {
   linalg::QrWorkspace ref_qr_ws;
   reference->thin_qr_into(panel, ref_qr, ref_qr_ws);
   linalg::SvdResult ref_svd;
+  linalg::SvdResult ref_isvd_svd;
   linalg::SvdWorkspace ref_svd_ws;
   reference->svd_into(core, ref_svd, ref_svd_ws);
+  reference->svd_into(isvd_core, ref_isvd_svd, ref_svd_ws);
 
   std::vector<BackendCurve> curves;
   bool in_band = true;
@@ -164,23 +180,26 @@ int main(int argc, char** argv) try {
                                max_rel_err(linalg::matmul(qr.q, qr.r), panel)});
     }
 
-    // Dense SVD of the (r + c)-sized core matrix. Accuracy through the
-    // singular values (factors carry sign/rotation ambiguity).
-    {
+    // Dense SVD of a core matrix. Accuracy through the singular values
+    // (factors carry sign/rotation ambiguity).
+    const auto time_svd = [&](const char* kernel, const linalg::Mat& input,
+                              const linalg::SvdResult& want) {
       linalg::SvdResult svd;
       linalg::SvdWorkspace ws;
       const RunStats stats = time_repeated(
           [&](std::size_t) {
-            for (int it = 0; it < 5; ++it) backend->svd_into(core, svd, ws);
+            for (int it = 0; it < 5; ++it) backend->svd_into(input, svd, ws);
           },
           repeats, 1);
       double err = 0.0;
       for (std::size_t i = 0; i < svd.s.size(); ++i) {
-        err = std::max(err, std::abs(svd.s[i] - ref_svd.s[i]) /
-                                (1.0 + ref_svd.s.front()));
+        err = std::max(err, std::abs(svd.s[i] - want.s[i]) /
+                                (1.0 + want.s.front()));
       }
-      curve.kernels.push_back({"core_svd", stats.mean / 5.0, err});
-    }
+      curve.kernels.push_back({kernel, stats.mean / 5.0, err});
+    };
+    time_svd("core_svd", core, ref_svd);
+    time_svd("isvd_core_svd", isvd_core, ref_isvd_svd);
 
     const BackendCurve* ref_curve = curves.empty() ? nullptr : &curves.front();
     for (const KernelTiming& k : curve.kernels) {
@@ -211,6 +230,7 @@ int main(int argc, char** argv) try {
   json.field("rank", r);
   json.field("panel_cols", c);
   json.field("core_n", core_n);
+  json.field("isvd_core_n", isvd_core_n);
   json.field("repeats", repeats);
   json.end_object();
   json.key("backends");

@@ -9,7 +9,8 @@
 // Column updates:   project the new block onto span(U), orthogonalize the
 // residual (with one reorthogonalization pass), assemble the small core
 // matrix K = [diag(s), U^T B; 0, R_resid], take its dense SVD and rotate the
-// outer factors. Cost per update: O(P r c + (r+c)^3), independent of T_seen.
+// outer factors. Cost per update: O(P r c + (r+c)^3), plus O(T_seen (r+c)^2)
+// when track_v is on: rotating V grows with the stream length T_seen.
 //
 // Row updates (add_rows) implement the paper's "future work" extension of
 // adding entire new sensors to an existing decomposition.
@@ -73,7 +74,7 @@ class Isvd {
 
   /// Folds `new_cols` (P x c) into the decomposition using the internal
   /// workspace. One core SVD per P-column block; cost O(P r c + (r+c)^3),
-  /// independent of cols_seen().
+  /// plus O(cols_seen() (r+c)^2) to rotate V when track_v is on.
   void update(const linalg::Mat& new_cols);
 
   /// Same update through a caller-owned workspace (shareable across Isvd

@@ -8,8 +8,8 @@
 // shapes, pre-shape the output, and forward to active_backend().
 //
 // Three backends ship in-tree:
-//   * "reference" — serial row-major scalar kernels, bitwise-identical to
-//     the pre-seam output and always the default.
+//   * "reference" — serial scalar kernels, bitwise deterministic and always
+//     the default (kernels.hpp says which still match the pre-seam output).
 //   * "avx2"      — hand-vectorized AVX2/FMA kernels for the small-block
 //     shapes the incremental SVD update hits. Runtime-detected: selecting
 //     it on a CPU without AVX2+FMA silently runs the scalar reference

@@ -101,16 +101,16 @@ class OpenBlasBackend final : public Backend {
     ws.a = x;  // dgesdd destroys its input
     out.s.resize(r0);
     out.u.assign_zero(m, r0);
-    ws.xt.assign_zero(r0, n);  // receives V^T
+    ws.v.assign_zero(r0, n);  // receives V^T
     const lapack_int info = LAPACKE_dgesdd(
         LAPACK_ROW_MAJOR, 'S', static_cast<lapack_int>(m),
         static_cast<lapack_int>(n), ws.a.data(), static_cast<lapack_int>(n),
         out.s.data(), out.u.data(), static_cast<lapack_int>(r0),
-        ws.xt.data(), static_cast<lapack_int>(n));
+        ws.v.data(), static_cast<lapack_int>(n));
     if (info != 0) throw NumericalError("LAPACKE_dgesdd did not converge");
     out.v.assign_zero(n, r0);
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < r0; ++j) out.v(i, j) = ws.xt(j, i);
+      for (std::size_t j = 0; j < r0; ++j) out.v(i, j) = ws.v(j, i);
     }
   }
 

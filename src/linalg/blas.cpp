@@ -271,9 +271,16 @@ double norm2(std::span<const Complex> x) {
 
 double dot(std::span<const double> a, std::span<const double> b) {
   IMRDMD_REQUIRE_DIMS(a.size() == b.size(), "dot length mismatch");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
-  return sum;
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= a.size(); i += 4) {
+    s0 += a[i] * b[i];
+    s1 += a[i + 1] * b[i + 1];
+    s2 += a[i + 2] * b[i + 2];
+    s3 += a[i + 3] * b[i + 3];
+  }
+  for (; i < a.size(); ++i) s0 += a[i] * b[i];
+  return (s0 + s1) + (s2 + s3);
 }
 
 Complex cdot(std::span<const Complex> a, std::span<const Complex> b) {

@@ -73,7 +73,8 @@ double frobenius_diff(const Mat& a, const Mat& b);
 double norm2(std::span<const double> x);
 double norm2(std::span<const Complex> x);
 
-/// Dot products.
+/// Dot products. The real one sums over four split accumulators so the
+/// adds pipeline (it is the Jacobi SVD's inner loop).
 double dot(std::span<const double> a, std::span<const double> b);
 /// conj(a) . b
 Complex cdot(std::span<const Complex> a, std::span<const Complex> b);

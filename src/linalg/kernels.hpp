@@ -1,10 +1,10 @@
 // Internal kernel declarations shared by the linalg backends.
 //
-// ref::   — the cache-blocked scalar kernels (defined in blas.cpp, qr.cpp,
-//           svd.cpp). These are the pre-seam implementations verbatim: the
-//           "reference" backend is bitwise-identical to the library's
-//           historical output, and other backends reuse them as fallbacks
-//           for kernels they do not accelerate.
+// ref::   — the serial scalar kernels (defined in blas.cpp, qr.cpp,
+//           svd.cpp) of the bitwise-deterministic "reference" backend,
+//           which other backends reuse for kernels they do not accelerate.
+//           svd_into is a contiguous-access Jacobi whose last bits differ
+//           from the pre-seam kernel; the others are the pre-seam code.
 // avx2::  — the AVX2/FMA translation unit (backend_avx2.cpp), compiled
 //           with -mavx2 -mfma when the toolchain supports it. Callers must
 //           gate on kernels_compiled() AND a runtime CPU check before

@@ -21,52 +21,58 @@ void SvdResult::truncate(std::size_t rank) {
 
 namespace {
 
-// One-sided Jacobi on a tall matrix A (m >= n): rotates column pairs until
-// they are mutually orthogonal; the rotations accumulate into V, the final
-// column norms are the singular values and the normalized columns form U.
-// Every temporary lives in `ws` and the factors land in `result`, both
-// reused across calls by the streaming hot paths.
-void jacobi_svd_tall_into(const Mat& input, SvdResult& result,
-                          SvdWorkspace& ws) {
-  const std::size_t m = input.rows();
-  const std::size_t n = input.cols();
-  Mat& a = ws.a;
-  a = input;
+// Applies the plane rotation [c -s; s c] to the row pair (x, y).
+void rotate(double* x, double* y, std::size_t len, double c, double s) {
+  for (std::size_t i = 0; i < len; ++i) {
+    const double xi = x[i], yi = y[i];
+    x[i] = c * xi - s * yi;
+    y[i] = s * xi + c * yi;
+  }
+}
+
+// One-sided Jacobi on a tall m x n matrix A (m >= n) held transposed in
+// ws.a, so each column of A is a contiguous row: rotates column pairs until
+// they are mutually orthogonal; the rotations accumulate into V (held
+// transposed in ws.v), the final column norms are the singular values and
+// the normalized columns form U. Temporaries live in `ws` and the factors
+// land in `result`, both reused across calls by the streaming hot paths.
+void jacobi_svd_tall_into(SvdResult& result, SvdWorkspace& ws) {
+  Mat& at = ws.a;
+  const std::size_t n = at.rows();
+  const std::size_t m = at.cols();
   // Pre-scale so squared column norms can neither overflow nor underflow
   // for inputs anywhere near the double range; undone on the spectrum.
   double max_abs = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    max_abs = std::max(max_abs, std::abs(a.data()[i]));
+  for (std::size_t i = 0; i < at.size(); ++i) {
+    max_abs = std::max(max_abs, std::abs(at.data()[i]));
   }
   const double prescale = max_abs > 0.0 ? 1.0 / max_abs : 1.0;
-  if (prescale != 1.0) a *= prescale;
-  Mat& v = ws.v;
-  v.assign_zero(n, n);
-  for (std::size_t i = 0; i < n; ++i) v(i, i) = 1.0;
+  if (prescale != 1.0) at *= prescale;
+  Mat& vt = ws.v;
+  vt.assign_zero(n, n);
+  for (std::size_t i = 0; i < n; ++i) vt(i, i) = 1.0;
+  const auto col = [&](std::size_t j) { return at.row_span(j); };
 
   const double eps = 1e-15;
   // Columns whose squared norm has fallen to rounding-noise level (relative
   // to the matrix norm) are numerically zero; rotating against them chases
   // correlated cancellation residue forever, so they are skipped.
-  double total_sq = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) total_sq += a.data()[i] * a.data()[i];
+  const double total_sq = dot({at.data(), at.size()}, {at.data(), at.size()});
   const double noise_floor_sq = (eps * eps) * total_sq;
+  std::vector<double>& norms = ws.norms;
+  norms.resize(n);
   const std::size_t max_sweeps = 60;
   bool converged = false;
   for (std::size_t sweep = 0; sweep < max_sweeps && !converged; ++sweep) {
     converged = true;
+    // Squared column norms, exact at the start of each sweep and carried
+    // through its rotations in closed form, so a pair costs one dot product.
+    for (std::size_t j = 0; j < n; ++j) norms[j] = dot(col(j), col(j));
     for (std::size_t p = 0; p + 1 < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
-        // Column moments. Column-pair access in a row-major matrix walks the
-        // rows once for all three sums.
-        double app = 0.0, aqq = 0.0, apq = 0.0;
-        for (std::size_t i = 0; i < m; ++i) {
-          const double* row = a.data() + i * n;
-          app += row[p] * row[p];
-          aqq += row[q] * row[q];
-          apq += row[p] * row[q];
-        }
+        const double app = norms[p], aqq = norms[q];
         if (app <= noise_floor_sq || aqq <= noise_floor_sq) continue;
+        const double apq = dot(col(p), col(q));
         if (std::abs(apq) <= eps * std::sqrt(app * aqq) || apq == 0.0) {
           continue;
         }
@@ -77,20 +83,10 @@ void jacobi_svd_tall_into(const Mat& input, SvdResult& result,
                          (std::abs(zeta) + std::sqrt(1.0 + zeta * zeta));
         const double c = 1.0 / std::sqrt(1.0 + t * t);
         const double s = c * t;
-        for (std::size_t i = 0; i < m; ++i) {
-          double* row = a.data() + i * n;
-          const double ap = row[p];
-          const double aq = row[q];
-          row[p] = c * ap - s * aq;
-          row[q] = s * ap + c * aq;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          double* row = v.data() + i * n;
-          const double vp = row[p];
-          const double vq = row[q];
-          row[p] = c * vp - s * vq;
-          row[q] = s * vp + c * vq;
-        }
+        rotate(col(p).data(), col(q).data(), m, c, s);
+        rotate(vt.row_span(p).data(), vt.row_span(q).data(), n, c, s);
+        norms[p] = app - t * apq;
+        norms[q] = aqq + t * apq;
       }
     }
   }
@@ -100,13 +96,7 @@ void jacobi_svd_tall_into(const Mat& input, SvdResult& result,
     throw NumericalError("jacobi_svd did not converge (input finite?)");
   }
 
-  std::vector<double>& norms = ws.norms;
-  norms.assign(n, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* row = a.data() + i * n;
-    for (std::size_t j = 0; j < n; ++j) norms[j] += row[j] * row[j];
-  }
-  for (auto& norm : norms) norm = std::sqrt(norm);
+  for (std::size_t j = 0; j < n; ++j) norms[j] = std::sqrt(dot(col(j), col(j)));
   std::vector<std::size_t>& order = ws.order;
   order.resize(n);
   std::iota(order.begin(), order.end(), 0);
@@ -121,9 +111,9 @@ void jacobi_svd_tall_into(const Mat& input, SvdResult& result,
     result.s[k] = norms[j] * (max_abs > 0.0 ? max_abs : 1.0);
     if (norms[j] > 0.0) {
       const double inv = 1.0 / norms[j];
-      for (std::size_t i = 0; i < m; ++i) result.u(i, k) = a(i, j) * inv;
+      for (std::size_t i = 0; i < m; ++i) result.u(i, k) = at(j, i) * inv;
     }
-    for (std::size_t i = 0; i < n; ++i) result.v(i, k) = v(i, j);
+    for (std::size_t i = 0; i < n; ++i) result.v(i, k) = vt(j, i);
   }
 }
 
@@ -131,13 +121,15 @@ void jacobi_svd_tall_into(const Mat& input, SvdResult& result,
 
 // Reference Jacobi kernel (the "reference" backend; see kernels.hpp).
 void ref::svd_into(const Mat& x, SvdResult& out, SvdWorkspace& ws) {
+  // The kernel takes the tall side transposed, which a row-major wide x
+  // already is; factoring it swaps the singular vector roles.
   if (x.rows() >= x.cols()) {
-    jacobi_svd_tall_into(x, out, ws);
+    x.transposed_into(ws.a);
+    jacobi_svd_tall_into(out, ws);
     return;
   }
-  // Factor the transpose and swap the singular vector roles.
-  x.transposed_into(ws.xt);
-  jacobi_svd_tall_into(ws.xt, out, ws);
+  ws.a = x;
+  jacobi_svd_tall_into(out, ws);
   std::swap(out.u, out.v);
 }
 

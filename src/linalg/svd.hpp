@@ -40,7 +40,6 @@ SvdResult svd(const Mat& x);
 struct SvdWorkspace {
   Mat a;
   Mat v;
-  Mat xt;
   std::vector<double> norms;
   std::vector<std::size_t> order;
 };

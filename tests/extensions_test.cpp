@@ -1,6 +1,6 @@
 // Tests for APIs added during the reproduction hardening pass:
 // band_level_means, knn_accuracy, the sensor model's regime shift and
-// oscillation heterogeneity, the job log arrival cutoff, and NaN policy.
+// oscillation heterogeneity, and the job log arrival cutoff.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "baselines/metrics.hpp"
 #include "core/mrdmd.hpp"
 #include "linalg/blas.hpp"
-#include "linalg/svd.hpp"
 #include "telemetry/job_log.hpp"
 #include "telemetry/sensor_model.hpp"
 #include "test_util.hpp"
@@ -159,13 +158,6 @@ TEST(JobLog, ArrivalCutoffDrainsTheMachine) {
   for (const auto& job : sim.jobs()) EXPECT_LT(job.t_start, 400u);
   // Long after the cutoff everything has drained.
   EXPECT_EQ(sim.nodes_busy_at(1500).size(), 0u);
-}
-
-TEST(Svd, NonFiniteInputFailsLoudly) {
-  // NaN must not silently corrupt a decomposition: the Jacobi sweep throws.
-  linalg::Mat a(4, 3, 1.0);
-  a(2, 1) = std::nan("");
-  EXPECT_THROW(linalg::svd(a), NumericalError);
 }
 
 TEST(Mrdmd, StuckSensorContributesConstantMode) {

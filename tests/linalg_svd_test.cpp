@@ -3,7 +3,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
+#include "common/error.hpp"
+#include "linalg/backend.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/svd.hpp"
 #include "test_util.hpp"
@@ -20,6 +25,35 @@ Mat reassemble(const SvdResult& f) {
   Mat us = f.u;
   for (std::size_t j = 0; j < f.s.size(); ++j) scale_col(us, j, f.s[j]);
   return matmul_a_bt(us, f.v);
+}
+
+// The core matrix of an iSVD update, K = [diag(s) M; 0 R]: r singular
+// values spread over six decades, a dense r x c coupling block M and an
+// upper-triangular c x c residual factor R.
+Mat isvd_core(std::size_t r, std::size_t c, Rng& rng) {
+  Mat k(r + c, r + c);
+  for (std::size_t i = 0; i < r; ++i) {
+    k(i, i) = std::pow(10.0, -6.0 * static_cast<double>(i) /
+                                 static_cast<double>(r - 1));
+    for (std::size_t j = 0; j < c; ++j) k(i, r + j) = rng.normal();
+  }
+  for (std::size_t i = 0; i < c; ++i) {
+    for (std::size_t j = i; j < c; ++j) k(r + i, r + j) = rng.normal();
+  }
+  return k;
+}
+
+// The reference Jacobi kernel, whichever backend the environment selects.
+SvdResult reference_svd(const Mat& x) {
+  SvdResult out;
+  SvdWorkspace ws;
+  find_backend("reference")->svd_into(x, out, ws);
+  return out;
+}
+
+bool bitwise_equal(const Mat& a, const Mat& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 TEST(Svd, ReconstructsTallMatrix) {
@@ -109,6 +143,77 @@ TEST(Svd, TinyAndHugeScalesSurvive) {
     EXPECT_LT(max_abs_diff(reassemble(f), a), 1e-11 * norm);
   }
 }
+
+TEST(Svd, NonFiniteInputFailsLoudly) {
+  // NaN or Inf must not silently corrupt a decomposition: the Jacobi sweep
+  // throws, whichever side of the matrix is tall.
+  Mat nan_input(4, 3, 1.0);
+  nan_input(2, 1) = std::nan("");
+  EXPECT_THROW(svd(nan_input), NumericalError);
+  Rng rng(15);
+  const std::vector<Mat> shapes = {random_matrix(30, 6, rng),
+                                   random_matrix(6, 30, rng),
+                                   isvd_core(32, 2, rng)};
+  for (const Mat& clean : shapes) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+      Mat a = clean;
+      a(a.rows() / 2, 1) = bad;
+      EXPECT_THROW(reference_svd(a), NumericalError)
+          << a.rows() << "x" << a.cols() << " with " << bad;
+    }
+  }
+}
+
+TEST(Svd, ReusedWorkspaceMatchesFreshBitwise) {
+  // Buffers left over from an earlier call must not leak into the next
+  // decomposition, whether the shape changes or repeats (the tall and wide
+  // calls share a 9-wide short side, so their working copies coincide).
+  Backend* reference = find_backend("reference");
+  ASSERT_NE(reference, nullptr);
+  Rng rng(16);
+  const std::vector<Mat> inputs = {
+      random_matrix(40, 9, rng), random_matrix(9, 50, rng),
+      random_matrix(12, 12, rng), random_matrix(20, 3, rng)};
+  SvdWorkspace shared;
+  SvdResult reused;
+  for (const Mat& x : inputs) {
+    reference->svd_into(x, reused, shared);
+    SvdWorkspace fresh_ws;
+    SvdResult fresh;
+    reference->svd_into(x, fresh, fresh_ws);
+    EXPECT_TRUE(bitwise_equal(reused.u, fresh.u)) << x.rows() << "x" << x.cols();
+    EXPECT_TRUE(bitwise_equal(reused.v, fresh.v)) << x.rows() << "x" << x.cols();
+    ASSERT_EQ(reused.s.size(), fresh.s.size());
+    EXPECT_EQ(std::memcmp(reused.s.data(), fresh.s.data(),
+                          fresh.s.size() * sizeof(double)),
+              0);
+  }
+}
+
+// Accuracy on the iSVD core shape across ranks and block widths.
+class SvdIsvdCore
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(SvdIsvdCore, AccurateOrthonormalAndDescending) {
+  const auto [r, c] = GetParam();
+  Rng rng(r * 31 + c);
+  const Mat k = isvd_core(r, c, rng);
+  const SvdResult f = reference_svd(k);
+  double max_k = 0.0;
+  for (std::size_t i = 0; i < k.size(); ++i) {
+    max_k = std::max(max_k, std::abs(k.data()[i]));
+  }
+  EXPECT_LE(max_abs_diff(reassemble(f), k), 1e-13 * max_k);
+  EXPECT_LE(orthogonality_defect(f.u), 1e-12);
+  EXPECT_LE(orthogonality_defect(f.v), 1e-12);
+  for (std::size_t i = 1; i < f.s.size(); ++i) EXPECT_LE(f.s[i], f.s[i - 1]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, SvdIsvdCore,
+                         ::testing::Combine(::testing::Values(32u, 96u),
+                                            ::testing::Values(1u, 2u, 8u)));
 
 TEST(RandomizedSvd, MatchesExactOnLowRank) {
   Rng rng(9);
