@@ -104,12 +104,11 @@ int run_figure_benches(const std::string& self, const std::string& out_dir,
                        bool full) {
   // Everything bench/CMakeLists.txt builds next to bench_main.
   const char* benches[] = {
-      "bench_envlog_update", "bench_gpu_update",   "bench_sensor_add",
-      "bench_fig3_case1",    "bench_fig4_rackview", "bench_fig5_spectrum",
-      "bench_fig6_case2",    "bench_fig7_spectrum2", "bench_fig8_embeddings",
-      "bench_fig9_scaling",  "bench_q2_accuracy",  "bench_table1",
-      "bench_ablation",      "bench_fleet",        "bench_checkpoint",
-      "bench_micro_linalg",  "bench_serve",        "bench_net",
+      "bench_envlog_update",  "bench_gpu_update",      "bench_fig3_case1",
+      "bench_fig4_rackview",  "bench_fig5_spectrum",   "bench_fig6_case2",
+      "bench_fig7_spectrum2", "bench_fig8_embeddings", "bench_fig9_scaling",
+      "bench_q2_accuracy",    "bench_table1",          "bench_ablation",
+      "bench_micro_linalg",
   };
   std::string dir = ".";
   const std::size_t slash = self.find_last_of('/');

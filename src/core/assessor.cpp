@@ -785,7 +785,9 @@ bool Assessor::deliver(SnapshotSink& sink, AssessmentSnapshot&& snapshot,
     // run's sink instead of losing it with the unwind. (An observing sink
     // leaves the snapshot untouched through the default rvalue forwarder;
     // see SnapshotSink::on_snapshot.)
-    parked_snapshots_.push_back(std::move(snapshot));
+    // At the front: a snapshot redelivered from the parked queue goes
+    // back where it was.
+    parked_snapshots_.push_front(std::move(snapshot));
     throw;
   }
   ++summary.chunks;
@@ -878,18 +880,7 @@ RunSummary Assessor::run_until(ChunkSource* source, SnapshotSink& sink,
     }
     AssessmentSnapshot snapshot = std::move(parked_snapshots_.front());
     parked_snapshots_.pop_front();
-    const std::size_t cols = snapshot.chunk_snapshots;
-    bool keep_going = true;
-    try {
-      keep_going = sink.on_snapshot(std::move(snapshot));
-    } catch (...) {
-      // Still undelivered: back to the FRONT so order is preserved.
-      parked_snapshots_.push_front(std::move(snapshot));
-      throw;
-    }
-    ++summary.chunks;
-    summary.snapshots += cols;
-    if (!keep_going) {
+    if (!deliver(sink, std::move(snapshot), summary)) {
       summary.reason = StopReason::SinkRequest;
       sink.on_end(summary);
       return summary;

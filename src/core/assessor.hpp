@@ -21,8 +21,7 @@
 //     one-rank case of the distributed path;
 //   * results stream out through a push-based SnapshotSink observer instead
 //     of an accumulated std::vector, so an unbounded stream runs in bounded
-//     memory (ROADMAP north star: millions of users, backpressure-aware
-//     ingestion).
+//     memory.
 //
 // Model layer: a composable two-level ModelStack (core/model_stack.hpp) —
 // an optional coarse facility model over a subsampled sensor grid whose

@@ -80,13 +80,12 @@ class Communicator {
                                int root);
 
   /// Bytes this rank has *received* from remote ranks across all
-  /// collectives since construction (or the last reset). Models the wire
+  /// collectives since construction. Models the wire
   /// cost an MPI backend would pay: broadcast charges non-roots the full
   /// buffer, scatterv charges non-roots only their slice, gathers charge
   /// the root the sum of remote contributions, allgathers charge everyone
   /// the sum of remote contributions. Barriers are free.
   std::uint64_t wire_bytes() const { return wire_bytes_; }
-  void reset_wire_bytes() { wire_bytes_ = 0; }
 
  private:
   friend class World;

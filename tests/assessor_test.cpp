@@ -1,11 +1,13 @@
 // Unified Assessor engine tests: prefetch-depth invariance of the bounded
 // ingestion queue, topology invariance (monolithic / sharded / distributed
-// produce one bitwise-identical stream), the run_until stop-condition
+// produce one bitwise-identical stream), the scatterv per-rank wire cost,
+// the run_until stop-condition
 // surface, the fail-fast unresumable-checkpoint and armed-policy-without-
 // path validations, and the assessor checkpoint API (including loading the
 // legacy IMRDPL1 container from a golden file).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -200,6 +202,70 @@ TEST(DistributedAssessor, MatchesSingleProcessBitwiseAcrossRanks) {
       }
     });
   }
+}
+
+/// Records the rank's cumulative received wire bytes at every delivery.
+class WireBytesSink final : public core::SnapshotSink {
+ public:
+  explicit WireBytesSink(const dist::Communicator& comm) : comm_(comm) {}
+  using core::SnapshotSink::on_snapshot;
+  bool on_snapshot(const AssessmentSnapshot&) override {
+    wire_bytes.push_back(comm_.wire_bytes());
+    return true;
+  }
+  std::vector<std::uint64_t> wire_bytes;
+
+ private:
+  const dist::Communicator& comm_;
+};
+
+TEST(DistributedAssessor, ScattervShipsEachRankOnlyItsOwnedRows) {
+  // IngestMode::Scatterv: per streamed chunk a non-root rank receives the
+  // rows of the groups it owns, O(P*T / R), plus the O(P) per-sensor merge
+  // and the chunk handshake, never the whole chunk. The flat stack is
+  // pinned: the coarse side-slice of a hierarchy is a separate O(P*T /
+  // stride) term.
+  constexpr int kRanks = 4;
+  constexpr std::size_t kSensors = 48;
+  constexpr std::size_t kChunk = 64;
+  constexpr std::size_t kMergeDoublesPerSensor = 8;
+  Rng rng(31);
+  const Mat data = planted_multiscale(kSensors, 256 + 4 * kChunk, 0.02, rng);
+  const auto groups = core::contiguous_groups(kSensors, kRanks);
+
+  dist::World world(kRanks);
+  world.run([&](dist::Communicator& comm) {
+    AssessorConfig config;
+    config.pipeline(assessor_pipeline_options())
+        .sharded(groups, 1)
+        .sensors(kSensors)
+        .hierarchy(0)
+        .distributed(comm);
+    config.ingest_options.mode = core::IngestMode::Scatterv;
+    Assessor assessor(config);
+    std::optional<MatChunkSource> source;
+    if (comm.rank() == 0) source.emplace(data, 256, kChunk);
+    WireBytesSink sink(comm);
+    assessor.run_until(comm.rank() == 0 ? &*source : nullptr, sink,
+                       StopCondition{});
+    ASSERT_EQ(sink.wire_bytes.size(), 5u);
+    if (comm.rank() == 0) return;
+
+    const std::size_t owned = assessor.owned_sensor_rows().size();
+    ASSERT_EQ(owned, kSensors / kRanks);
+    const std::uint64_t rows_bytes = owned * kChunk * sizeof(double);
+    const std::uint64_t bound =
+        rows_bytes + kMergeDoublesPerSensor * kSensors * sizeof(double);
+    const std::uint64_t whole_chunk = kSensors * kChunk * sizeof(double);
+    ASSERT_LT(bound, whole_chunk / 2);
+    for (std::size_t c = 1; c < sink.wire_bytes.size(); ++c) {
+      const std::uint64_t received =
+          sink.wire_bytes[c] - sink.wire_bytes[c - 1];
+      EXPECT_GE(received, rows_bytes) << "rank " << comm.rank() << " chunk "
+                                      << c;
+      EXPECT_LE(received, bound) << "rank " << comm.rank() << " chunk " << c;
+    }
+  });
 }
 
 TEST(Assessor, RunUntilMaxChunksStopsWithoutOverConsumingTheSource) {

@@ -569,7 +569,9 @@ TEST(FleetCheckpoint, DeltaContainerKillAndResumeBitwise) {
 }
 
 TEST(FleetCheckpoint, DeltaSaveAppendsInsteadOfRewritingTheBase) {
-  const Mat data = checkpoint_data();
+  constexpr std::size_t kAppends = 5;
+  Rng rng(11);
+  const Mat data = planted_multiscale(15, 256 + kAppends * 64, 0.02, rng);
   const std::string path = ::testing::TempDir() + "/delta_append.ckpt";
   remove_fl3(path);
   AssessorConfig config;
@@ -581,23 +583,29 @@ TEST(FleetCheckpoint, DeltaSaveAppendsInsteadOfRewritingTheBase) {
   MatChunkSource source(data, 256, 64);
 
   run_collect(engine, source, 1);
-  const auto base_part = std::filesystem::file_size(path + ".r0.e1");
+  const std::string part = path + ".r0.e1";
   const auto base_main = std::filesystem::file_size(path);
-  run_collect(engine, source, 1);
-  const auto appended_part = std::filesystem::file_size(path + ".r0.e1");
-  const auto appended_main = std::filesystem::file_size(path);
+  auto part_bytes = std::filesystem::file_size(part);
 
-  // The second save appended the chunk's raw rows to the SAME part (no
-  // epoch bump, no model re-serialization): the part grows by roughly the
-  // chunk payload, and the manifest stays the same size. O(chunk), not
-  // O(history).
-  EXPECT_FALSE(std::filesystem::exists(path + ".r0.e2"));
+  // Every later save appends the chunk's raw rows to the SAME part (no
+  // epoch bump, no model re-serialization): each append is about one
+  // chunk payload, stays flat as the stream grows, and undercuts a full
+  // save of the same engine; the manifest stays the same size. O(chunk),
+  // not O(history).
   const std::uintmax_t chunk_bytes = data.rows() * 64 * sizeof(double);
-  EXPECT_GT(appended_part, base_part);
-  EXPECT_LT(appended_part - base_part, chunk_bytes + 256);
-  EXPECT_EQ(appended_main, base_main);
-
-  // A growth event forces the next save to compact into a fresh base.
+  for (std::size_t save = 1; save <= kAppends; ++save) {
+    run_collect(engine, source, 1);
+    const auto appended_part = std::filesystem::file_size(part);
+    std::ostringstream full;
+    core::save_assessor_checkpoint(full, engine);
+    EXPECT_GT(appended_part, part_bytes) << "save " << save;
+    EXPECT_LE(appended_part - part_bytes, chunk_bytes + 256) << "save " << save;
+    EXPECT_LT(appended_part - part_bytes, full.str().size()) << "save " << save;
+    EXPECT_EQ(std::filesystem::file_size(path), base_main) << "save " << save;
+    part_bytes = appended_part;
+  }
+  EXPECT_EQ(engine.chunks_processed(), 1 + kAppends);
+  EXPECT_FALSE(std::filesystem::exists(path + ".r0.e2"));
   remove_fl3(path);
 }
 

@@ -1,6 +1,7 @@
 // Tests for the incremental SVD.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "isvd/isvd.hpp"
@@ -147,6 +148,30 @@ TEST(Isvd, AddRowsExtendsDecomposition) {
   for (std::size_t i = 0; i < std::min(isvd.s().size(), batch.s.size()); ++i) {
     EXPECT_NEAR(isvd.s()[i], batch.s[i], 1e-8 * batch.s[0]);
   }
+
+  // Rank-capped: a low-rank-plus-noise factor truncated to max_rank before
+  // and after the row update. The retained spectrum still tracks the batch
+  // SVD of the extended factor.
+  const std::size_t p0 = 120;
+  const std::size_t added = 20;
+  Mat factor = random_low_rank(p0 + added, 200, 6, rng);
+  for (std::size_t i = 0; i < factor.size(); ++i) {
+    factor.data()[i] += 0.01 * rng.normal();
+  }
+  IsvdOptions capped_options;
+  capped_options.max_rank = 16;
+  Isvd capped(capped_options);
+  capped.initialize(factor.block(0, 0, p0, factor.cols()));
+  capped.add_rows(factor.block(p0, 0, added, factor.cols()));
+  ASSERT_EQ(capped.rows(), p0 + added);
+  ASSERT_EQ(capped.rank(), 16u);
+  const linalg::SvdResult capped_batch = linalg::svd(factor);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < capped.rank(); ++i) {
+    worst = std::max(worst, std::abs(capped.s()[i] - capped_batch.s[i]) /
+                                capped_batch.s[0]);
+  }
+  EXPECT_LT(worst, 1e-3);
 }
 
 TEST(Isvd, AddRowsThenUpdateColumnsStaysConsistent) {

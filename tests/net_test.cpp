@@ -4,10 +4,11 @@
 // TcpChunkSource producer/consumer contract + ChunkSource conformance,
 // and the shipper -> listener fault battery (mid-frame kills, pathological
 // segmentation, delayed acks, in-flight corruption, unknown streams,
-// concurrent tenants) — every recovery path must reproduce the direct
-// source bitwise, and a socket-fed service tenant must checkpoint-on-stop
-// and resume exactly like a file-fed one. The whole file runs under the
-// `net` ctest label (re-run under TSan in CI).
+// concurrent tenants, frames wider than a socket buffer, a listener
+// restarted on the same port) — every recovery path must reproduce the
+// direct source bitwise, and a socket-fed service tenant must
+// checkpoint-on-stop and resume exactly like a file-fed one. The whole
+// file runs under the `net` ctest label (re-run under TSan in CI).
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <future>
 #include <initializer_list>
 #include <limits>
 #include <memory>
@@ -704,6 +706,106 @@ TEST(NetShipperListener, ConcurrentShippersStayIsolated) {
   expect_mat_bitwise(drain_source(received_b, 36), data_b);
   proxy.stop();
   listener.stop();
+}
+
+TEST(NetShipperListener, WideFramesArriveBitwiseAcrossChunkWidths) {
+  // 96 sensors: a 256-column chunk frame is ~192 KiB, more than a default
+  // socket buffer holds, so both ends loop over partial transfers.
+  Rng rng(32);
+  const Mat data = planted_multiscale(96, 512, 0.02, rng);
+  for (const std::size_t width : {16u, 64u, 256u}) {
+    TcpChunkSource::Options source_options;
+    source_options.journal_path = fresh_journal_path("wide");
+    TcpChunkSource received(96, source_options);
+    IngestListener listener(IngestListenerOptions{});
+    listener.register_stream("s0", &received);
+
+    ShipperOptions ship_options;
+    ship_options.port = listener.port();
+    ship_options.stream_id = "s0";
+    const ShipSummary summary = ship_matrix(data, width, width, ship_options);
+    EXPECT_EQ(summary.reconnects, 0u) << "width " << width;
+    EXPECT_EQ(summary.chunks, data.cols() / width) << "width " << width;
+    EXPECT_GT(summary.wire_bytes, data.size() * sizeof(double));
+    EXPECT_TRUE(received.ended());
+    expect_mat_bitwise(drain_source(received, data.cols()), data);
+    listener.stop();
+  }
+}
+
+/// MatrixChunkSource that holds the chunk after the first `gate_after`
+/// back until open() is called, so a test acts on the wire at a known
+/// point of the stream whatever the thread scheduling.
+class GatedMatrixSource final : public ChunkSource {
+ public:
+  GatedMatrixSource(const Mat& data, std::size_t initial, std::size_t chunk,
+                    std::size_t gate_after)
+      : inner_(data, initial, chunk), gate_after_(gate_after) {}
+  std::optional<Mat> next_chunk() override {
+    if (pulled_++ == gate_after_) opened_.wait();
+    return inner_.next_chunk();
+  }
+  std::size_t sensors() const override { return inner_.sensors(); }
+  std::size_t position() const override { return inner_.position(); }
+  void seek(std::size_t snapshot) override { inner_.seek(snapshot); }
+  void open() { open_.set_value(); }
+
+ private:
+  MatrixChunkSource inner_;
+  std::size_t gate_after_;
+  std::size_t pulled_ = 0;
+  std::promise<void> open_;
+  std::future<void> opened_ = open_.get_future();
+};
+
+TEST(NetShipperListener, ListenerRestartOnSamePortResumesBitwise) {
+  // The listener itself goes down mid-stream: it is destroyed, a new one
+  // binds the same port and the same journaled source is re-registered.
+  // The shipper reconnects and resumes exactly where the journal stops.
+  constexpr std::size_t kChunks = 16;
+  constexpr std::size_t kWidth = 4;
+  constexpr std::size_t kHalf = kChunks / 2;
+  Rng rng(33);
+  const Mat data = planted_multiscale(6, kChunks * kWidth, 0.02, rng);
+  TcpChunkSource::Options source_options;
+  source_options.journal_path = fresh_journal_path("restart");
+  TcpChunkSource received(6, source_options);
+  auto listener = std::make_unique<IngestListener>(IngestListenerOptions{});
+  const std::uint16_t port = listener->port();
+  listener->register_stream("s0", &received);
+
+  GatedMatrixSource source(data, kWidth, kWidth, kHalf);
+  ShipSummary summary;
+  std::thread shipper_thread([&] {
+    ShipperOptions options;
+    options.port = port;
+    options.stream_id = "s0";
+    options.backoff_base_seconds = 0.01;
+    options.backoff_cap_seconds = 0.05;
+    summary = ChunkShipper(options).ship(source);
+  });
+
+  // The first half is journaled and the shipper is held at the gate.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (received.acked_seq() < kHalf &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(received.acked_seq(), kHalf);
+  listener.reset();
+  IngestListenerOptions restart_options;
+  restart_options.port = port;
+  listener = std::make_unique<IngestListener>(restart_options);
+  listener->register_stream("s0", &received);
+  source.open();
+  shipper_thread.join();
+
+  EXPECT_GE(summary.reconnects, 1u);
+  EXPECT_TRUE(received.ended());
+  EXPECT_EQ(received.acked_seq(), kChunks);
+  expect_mat_bitwise(drain_source(received, data.cols()), data);
+  listener->stop();
 }
 
 // --- socket-fed service tenant: checkpoint-on-stop, bitwise resume --------

@@ -48,8 +48,8 @@ class RecordingSink final : public core::SnapshotSink {
   bool on_snapshot(const core::AssessmentSnapshot& snapshot) override {
     if (throw_on_chunk >= 0 &&
         snapshot.chunk_index == static_cast<std::size_t>(throw_on_chunk)) {
-      throw_on_chunk = -1;  // one-shot
-      throw std::runtime_error("sink rejects this snapshot once");
+      if (--throw_count == 0) throw_on_chunk = -1;
+      throw std::runtime_error("sink rejects this snapshot");
     }
     events.push_back(
         {Event::kSnapshot, snapshot.chunk_index, snapshot.total_snapshots});
@@ -77,8 +77,10 @@ class RecordingSink final : public core::SnapshotSink {
 
   std::vector<Event> events;
   std::string last_checkpoint_path;
-  /// When >= 0, on_snapshot throws once at this chunk index.
+  /// When >= 0, on_snapshot throws at this chunk index, `throw_count`
+  /// times in a row.
   int throw_on_chunk = -1;
+  int throw_count = 1;
 };
 
 template <typename Topology>
@@ -211,12 +213,16 @@ TYPED_TEST_P(SnapshotSinkConformance, ExactlyOnceAcrossFailedRuns) {
 
 TYPED_TEST_P(SnapshotSinkConformance, ThrowingSinkGetsRedeliveredOnce) {
   // on_snapshot throwing parks the snapshot; the next run delivers it
-  // first — exactly once overall, in order.
+  // first. A redelivery that throws again parks it again, so it still
+  // arrives exactly once overall, in order.
   const linalg::Mat data = this->stream_data();
   core::Assessor assessor = TypeParam::make(this->base_config());
   core::MatrixChunkSource source(data, 128, 64);
   RecordingSink sink;
   sink.throw_on_chunk = 1;
+  sink.throw_count = 2;
+  EXPECT_THROW(assessor.run(source, sink), std::runtime_error);
+  EXPECT_EQ(sink.snapshot_indices(), (std::vector<std::size_t>{0}));
   EXPECT_THROW(assessor.run(source, sink), std::runtime_error);
   EXPECT_EQ(sink.snapshot_indices(), (std::vector<std::size_t>{0}));
   assessor.run(source, sink);
