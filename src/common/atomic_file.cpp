@@ -68,11 +68,6 @@ void sync_parent_directory(const std::string& path) {
 
 }  // namespace
 
-void sync_to_disk(const std::string& path) {
-  if (!sync_file(path)) throw Error("cannot fsync: " + path);
-  sync_parent_directory(path);
-}
-
 void write_file_atomic(const std::string& path,
                        const std::function<void(std::ostream&)>& write) {
   const std::string temp = temp_name(path);

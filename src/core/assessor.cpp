@@ -97,17 +97,6 @@ std::size_t hierarchy_stride_from_env() {
   return static_cast<std::size_t>(parsed);
 }
 
-/// IMRDMD_CHECKPOINT_DELTA supplies the default delta-checkpoint setting
-/// when the policy never called with_delta(). Unset/empty/"0" means off.
-bool checkpoint_delta_from_env() {
-  const char* value = std::getenv("IMRDMD_CHECKPOINT_DELTA");
-  if (value == nullptr || *value == '\0') return false;
-  const std::string name(value);
-  if (name == "0") return false;
-  if (name == "1") return true;
-  throw InvalidArgument("IMRDMD_CHECKPOINT_DELTA must be 0 or 1");
-}
-
 /// "no row here" marker of local_row_of_sensor_.
 constexpr std::size_t kNoRow = ~std::size_t{0};
 
@@ -296,15 +285,10 @@ Assessor::Assessor(AssessorConfig config)
       "would be silently disarmed; set a path or every_n = 0");
   // Resolve the effective stride once, at construction: an explicit
   // hierarchy() call (including checkpoint resume) pins it; otherwise the
-  // environment default applies. Delta checkpointing follows the same
-  // pin-against-environment shape.
+  // environment default applies.
   if (!config_.hierarchy_set) {
     config_.coarse_stride = hierarchy_stride_from_env();
     config_.hierarchy_set = true;
-  }
-  if (!config_.checkpoint_policy.delta_set) {
-    config_.checkpoint_policy.delta = checkpoint_delta_from_env();
-    config_.checkpoint_policy.delta_set = true;
   }
   if (config_.sensor_count == 0) {
     // Deferred sensor count: only the single-process monolithic topology
@@ -646,10 +630,6 @@ AssessmentSnapshot Assessor::fold_and_score(const Mat& local_rows,
                               ? fit
                               : 0.7 * group_cost_ewma_[l] + 0.3 * fit;
   }
-  // The delta journal keeps this chunk's owned raw rows until the next
-  // delta save.
-  if (config_.checkpoint_policy.delta) delta_pending_.push_back(local_rows);
-
   snapshots_seen_ += cols;
   ++chunks_processed_;
   return snapshot;
@@ -767,9 +747,6 @@ void Assessor::add_sensors(std::size_t group, const Mat& new_rows_history) {
   } else if (owned) {
     stack_.fine(group - local_begin_).add_sensors(new_rows_history);
   }
-  // The next delta checkpoint must rewrite its base: the journaled chunks
-  // before the growth have the old width, so replay could not cross it.
-  delta_force_compact_ = true;
   rebalance_lanes();
 }
 
@@ -784,10 +761,9 @@ bool Assessor::deliver(SnapshotSink& sink, AssessmentSnapshot&& snapshot,
     // models, so the snapshot cannot be regenerated — park it for the next
     // run's sink instead of losing it with the unwind. (An observing sink
     // leaves the snapshot untouched through the default rvalue forwarder;
-    // see SnapshotSink::on_snapshot.)
-    // At the front: a snapshot redelivered from the parked queue goes
-    // back where it was.
-    parked_snapshots_.push_front(std::move(snapshot));
+    // see SnapshotSink::on_snapshot.) The slot is free: the run loop
+    // drains it before any new delivery, and a throw ends the run.
+    parked_snapshot_ = std::move(snapshot);
     throw;
   }
   ++summary.chunks;
@@ -868,18 +844,18 @@ RunSummary Assessor::run_until(ChunkSource* source, SnapshotSink& sink,
     return std::nullopt;
   };
 
-  // Deliver snapshots parked by a previous run whose sink delivery threw:
-  // those chunks are folded into the models, so the results (alarms
-  // included) cannot be regenerated. They count toward this run's stop
+  // Deliver the snapshot parked by a previous run whose sink delivery
+  // threw: its chunk is folded into the models, so the result (alarms
+  // included) cannot be regenerated. It counts toward this run's stop
   // budgets, like the legacy drivers' parked-snapshot accounting.
-  while (!parked_snapshots_.empty()) {
+  if (parked_snapshot_.has_value()) {
     if (const auto reason = budget_hit()) {
       summary.reason = *reason;
       sink.on_end(summary);
       return summary;
     }
-    AssessmentSnapshot snapshot = std::move(parked_snapshots_.front());
-    parked_snapshots_.pop_front();
+    AssessmentSnapshot snapshot = std::move(*parked_snapshot_);
+    parked_snapshot_.reset();
     if (!deliver(sink, std::move(snapshot), summary)) {
       summary.reason = StopReason::SinkRequest;
       sink.on_end(summary);

@@ -37,13 +37,14 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "core/imrdmd.hpp"
@@ -137,23 +138,17 @@ struct CheckpointPolicy {
   std::size_t every_n = 0;
   /// Target file, atomically replaced on each write.
   std::string path;
-  /// True selects the rank-local delta container ("IMRDFL3"): each process
-  /// appends the raw rows it ingested since the last save to its own
-  /// sidecar part file (<path>.r<rank>.e<epoch>) instead of gathering every
-  /// model's bytes to rank 0, so the save cost is O(rows since last save),
-  /// not O(model history). The engine then journals each processed chunk's
-  /// owned raw rows in memory between saves — bounded by every_n chunks
-  /// when the periodic hook is armed. When delta() is never called
-  /// explicitly, the IMRDMD_CHECKPOINT_DELTA environment variable ("1"/"0")
-  /// supplies the default (mirrors IMRDMD_HIERARCHY_STRIDE, so CI can
-  /// re-run whole suites through the delta writer).
-  bool delta = false;
-  /// True once delta() ran — the environment default then stays inert.
-  bool delta_set = false;
 
+  /// Compatibility shim: the rank-local delta container is gone, so only
+  /// `false` (the full container, the one writer) is accepted; `true`
+  /// throws InvalidArgument. Kept because the repository benchmark still
+  /// pins with_delta(false); remove it together with that call.
   CheckpointPolicy& with_delta(bool enabled) {
-    delta = enabled;
-    delta_set = true;
+    if (enabled) {
+      throw InvalidArgument(
+          "the delta checkpoint container was removed; every checkpoint "
+          "is a full IMRDFL1/IMRDFL2 container");
+    }
     return *this;
   }
 };
@@ -541,17 +536,15 @@ class Assessor {
   /// owns every row) and `coarse_chunk` the coarse grid rows (empty in flat
   /// mode). Updates the replicated coarse model, then every owned group
   /// model across the local lanes, and fills `updates` (one per local
-  /// group, raw sensor means). Touches the models only — no journal, no
-  /// z-score stage, no counters — so checkpoint replay refolds journaled
-  /// chunks through it too.
+  /// group, raw sensor means). Touches the models only — no z-score
+  /// stage, no counters.
   CoarseUpdate fold(const Mat& local_rows, const Mat& coarse_chunk,
                     std::size_t cols, std::vector<MagnitudeUpdate>& updates);
   /// One chunk's processing from its owned rows: fold(), then the merge in
   /// deterministic global group order (the distributed topology allgathers
   /// every rank's contribution; a single process is the one-rank case),
-  /// the replicated z-score stage, the lane cost model, the delta journal
-  /// record (the owned raw rows, when the journal is armed), and the
-  /// counters. fit_seconds spans fold + merge.
+  /// the replicated z-score stage, the lane cost model, and the counters.
+  /// fit_seconds spans fold + merge.
   AssessmentSnapshot fold_and_score(const Mat& local_rows,
                                     const Mat& coarse_chunk, std::size_t cols);
   /// Rebuilds owned_rows_ / group_of_sensor_ / local_row_of_sensor_ from
@@ -593,8 +586,7 @@ class Assessor {
   /// chunk itself to the fold, with no gather copy.
   bool owned_rows_in_order_ = false;
   /// Owned machine sensor indices, group order then group-list order — the
-  /// row layout of the fold, the sliced ingestion modes, and the delta
-  /// journal.
+  /// row layout of the fold and the sliced ingestion modes.
   std::vector<std::size_t> owned_rows_;
   /// Machine sensor index -> owning global group (replicated).
   std::vector<std::size_t> group_of_sensor_;
@@ -617,31 +609,11 @@ class Assessor {
   /// Chunks the prefetch queue consumed before a failure or early stop;
   /// the next run consumes them, in order, before advancing the source.
   std::deque<CarriedChunk> carry_chunks_;
-  // --- delta-checkpoint journal (CheckpointPolicy::delta; bookkeeping is
-  // mutable because the container writer folds it under a const engine) ---
-  /// Owned raw rows of each chunk processed since the last delta save.
-  mutable std::vector<Mat> delta_pending_;
-  /// True once this engine wrote its base record into the current epoch's
-  /// part file; saves then append the pending records instead.
-  mutable bool delta_base_written_ = false;
-  /// Forces the next delta save to rewrite the base (set by add_sensors:
-  /// the row layout changed, so pending records cannot extend the old
-  /// base).
-  mutable bool delta_force_compact_ = false;
-  /// chunks_processed_/snapshots_seen_ at the moment the base was written.
-  mutable std::size_t delta_base_chunks_ = 0;
-  mutable std::size_t delta_base_position_ = 0;
-  /// Epoch id (chunks_processed_ at base write) naming the part files.
-  mutable std::size_t delta_epoch_ = 0;
-  /// Bytes written to this rank's part file so far, and the running
-  /// FNV-1a64 digest over them — recorded in the main file so a torn
-  /// append is truncated away on load.
-  mutable std::uint64_t delta_part_bytes_ = 0;
-  mutable std::uint64_t delta_part_digest_ = 0;
-  /// Snapshots whose sink delivery threw; delivered first (front to back)
-  /// by the next run — the models have already folded those chunks in, so
-  /// the results cannot be regenerated.
-  std::deque<AssessmentSnapshot> parked_snapshots_;
+  /// The snapshot whose sink delivery threw; delivered first by the next
+  /// run — the models have already folded its chunk in, so the result
+  /// cannot be regenerated. At most one: the run loop drains it before any
+  /// new delivery, and a throwing delivery ends the run.
+  std::optional<AssessmentSnapshot> parked_snapshot_;
   /// The two-level model stack: fine models of the owned groups only
   /// (local index l = global group local_begin_ + l; stable addresses, so
   /// pool tasks may hold raw pointers across an engine move) plus the

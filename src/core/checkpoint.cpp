@@ -1,7 +1,6 @@
 #include "core/checkpoint.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -21,23 +20,15 @@ namespace {
 constexpr char kMagic[8] = {'I', 'M', 'R', 'D', 'M', 'D', '1', '\n'};
 constexpr char kPipelineMagic[8] = {'I', 'M', 'R', 'D', 'P', 'L', '1', '\n'};
 constexpr char kFleetMagic[8] = {'I', 'M', 'R', 'D', 'F', 'L', '1', '\n'};
-// V2 = V1 plus a hierarchy section (coarse stride + one coarse-model
-// section) between the group partition and the per-group model sections.
+// V2 = V1 plus a hierarchy section between the group partition and the
+// per-group model sections: the coarse stride, the explicit coarse grid
+// (row count, then each row's machine sensor index), the interpolation map
+// (entry count = sensors, then per sensor lo, hi, w), and one coarse-model
+// section. The grid is carried, not re-derived, because elastic growth
+// appends rows the pure ModelStack::coarse_grid function cannot reproduce.
 // Written only by hierarchical engines, so every flat save stays
 // byte-identical to the V1 generation.
 constexpr char kFleetMagic2[8] = {'I', 'M', 'R', 'D', 'F', 'L', '2', '\n'};
-// V3 = the rank-local delta container (CheckpointPolicy::delta): the main
-// file holds only the header, partition, hierarchy map, and a manifest of
-// per-writer part files (<path>.r<writer>.e<epoch>) that each hold one
-// process's model sections (the base) plus the raw rows of every chunk
-// processed since (the deltas). Saving appends O(chunk) bytes per rank
-// instead of gathering O(model history) to rank 0; loading replays the
-// deltas through the restored base. The main file is atomically rewritten
-// on every save and references its parts by exact byte count and digest,
-// so a torn append is truncated away and a crash between a base rewrite
-// and the main rewrite leaves the previous epoch's files authoritative.
-constexpr char kFleetMagic3[8] = {'I', 'M', 'R', 'D', 'F', 'L', '3', '\n'};
-constexpr char kPartMagic[8] = {'I', 'M', 'R', 'D', 'P', 'T', '3', '\n'};
 
 // --- primitive writers/readers (little-endian native; the format is not
 // exchanged across architectures) -------------------------------------
@@ -258,43 +249,16 @@ struct ParsedCheckpoint {
   std::uint64_t sensors = 0;
   std::vector<std::vector<std::size_t>> groups;
   std::vector<IncrementalMrdmd> models;
-  /// Hierarchy section (V2/V3 containers): 0 = flat stack.
+  /// Hierarchy section (V2 containers): 0 = flat stack.
   std::uint64_t coarse_stride = 0;
   std::optional<IncrementalMrdmd> coarse_model;
-  /// Explicit coarse grid + interpolation map (V3 only; empty grid =
-  /// canonical, i.e. re-derivable as ModelStack::coarse_grid(groups,
-  /// stride)). Carried because elastic growth appends grid rows the pure
-  /// function cannot reproduce.
+  /// The explicit coarse grid (machine sensor per coarse row) and the
+  /// per-sensor interpolation map (V2 only).
   std::vector<std::size_t> coarse_grid_rows;
   std::vector<std::uint64_t> interp_lo;
   std::vector<std::uint64_t> interp_hi;
   std::vector<double> interp_w;
 };
-
-// --- delta-container primitives ----------------------------------------
-
-constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-/// FNV-1a64 fold of `bytes` over a running digest — how the V3 main file
-/// fingerprints its part files so a torn or corrupted part fails the load
-/// instead of silently replaying garbage.
-std::uint64_t fnv1a64(std::uint64_t digest, const char* bytes,
-                      std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    digest ^= static_cast<unsigned char>(bytes[i]);
-    digest *= kFnvPrime;
-  }
-  return digest;
-}
-
-/// The sidecar part file of writer `writer` in epoch `epoch`:
-/// <path>.r<writer>.e<epoch>. A base rewrite bumps the epoch, so the files
-/// the previous main references are never overwritten in place.
-std::string part_path(const std::string& path, std::size_t writer,
-                      std::size_t epoch) {
-  return path + ".r" + std::to_string(writer) + ".e" + std::to_string(epoch);
-}
 
 void put_header(std::ostream& out, const PipelineOptions& options,
                 std::uint64_t chunks_processed, std::uint64_t stream_position,
@@ -344,18 +308,8 @@ struct CheckpointAccess {
   /// non-null there only), a single process writes its own; the bytes are
   /// identical for any lane or rank count.
   static void save_fleet(std::ostream* out, const Assessor& assessor);
-  /// The "IMRDFL3" rank-local delta container: every process writes (or
-  /// appends to) its own part file; rank 0 atomically rewrites the main
-  /// manifest. Collective in the distributed topology.
-  static void save_fleet3(const std::string& path, const Assessor& assessor);
-  /// Loads an "IMRDFL3" container (`in` is the main file, magic already
-  /// consumed): restores the base models from the part files, replays the
-  /// journaled delta chunks through Assessor::fold, and validates the
-  /// result against the manifest's final counters.
-  static RestoredAssessor load_fleet3(const std::string& path,
-                                      BoundedReader& in,
-                                      dist::Communicator* comm,
-                                      const AssessorResumeOptions& resume);
+  /// The V2 coarse grid and interpolation map (see kFleetMagic2).
+  static void put_hierarchy_map(std::ostream& out, const Assessor& assessor);
   /// Builds an engine of any topology from a parsed container.
   static RestoredAssessor assemble(ParsedCheckpoint parsed,
                                    dist::Communicator* comm,
@@ -414,8 +368,8 @@ ParsedCheckpoint parse_pipeline_body(BoundedReader& in) {
   return parsed;
 }
 
-/// Reads the sensor count + group partition shared by every fleet
-/// container generation (V1/V2/V3), with the same bounded validation.
+/// Reads the sensor count + group partition shared by both fleet container
+/// generations (V1/V2), with the same bounded validation.
 void parse_fleet_partition(BoundedReader& in, ParsedCheckpoint& parsed) {
   parsed.sensors = get_u64(in);
   if (parsed.sensors == 0 || parsed.sensors > (std::uint64_t{1} << 32)) {
@@ -447,29 +401,66 @@ void parse_fleet_partition(BoundedReader& in, ParsedCheckpoint& parsed) {
   }
 }
 
+/// Reads the V2 coarse grid and interpolation map: every grid row names a
+/// sensor, the map has one entry per sensor, and every entry points at grid
+/// rows with a weight in [0, 1] — bounded before any allocation.
+void parse_hierarchy_map(BoundedReader& in, ParsedCheckpoint& parsed) {
+  const std::uint64_t grid_count = get_u64(in);
+  if (grid_count == 0 || grid_count > parsed.sensors) {
+    throw ParseError("fleet checkpoint coarse grid implausible");
+  }
+  in.require(grid_count * sizeof(std::uint64_t), "fleet coarse grid");
+  parsed.coarse_grid_rows.resize(grid_count);
+  for (auto& row : parsed.coarse_grid_rows) {
+    row = static_cast<std::size_t>(get_u64(in));
+    if (row >= parsed.sensors) {
+      throw ParseError("fleet checkpoint coarse grid row out of range");
+    }
+  }
+  const std::uint64_t interp_count = get_u64(in);
+  if (interp_count != parsed.sensors) {
+    throw ParseError("fleet checkpoint interpolation map count mismatch");
+  }
+  in.require(interp_count * (2 * sizeof(std::uint64_t) + sizeof(double)),
+             "fleet interpolation map");
+  parsed.interp_lo.resize(interp_count);
+  parsed.interp_hi.resize(interp_count);
+  parsed.interp_w.resize(interp_count);
+  for (std::uint64_t p = 0; p < interp_count; ++p) {
+    parsed.interp_lo[p] = get_u64(in);
+    parsed.interp_hi[p] = get_u64(in);
+    parsed.interp_w[p] = get_f64(in);
+    if (parsed.interp_lo[p] >= grid_count ||
+        parsed.interp_hi[p] >= grid_count) {
+      throw ParseError("fleet checkpoint interpolation row out of range");
+    }
+    // The negated test also rejects NaN.
+    if (!(parsed.interp_w[p] >= 0.0 && parsed.interp_w[p] <= 1.0)) {
+      throw ParseError("fleet checkpoint interpolation weight out of [0, 1]");
+    }
+  }
+}
+
 ParsedCheckpoint parse_fleet_body(BoundedReader& in, bool v2) {
   ParsedCheckpoint parsed;
   get_header(in, parsed);
   parse_fleet_partition(in, parsed);
   if (v2) {
-    // Hierarchy section: the stride and the replicated coarse model. A V2
-    // container with a disabled stride would be a V1 spelled wrong (and
-    // would break resave byte-identity), so it is rejected as corrupt.
+    // Hierarchy section: the stride, the explicit coarse grid and
+    // interpolation map, and the replicated coarse model. A V2 container
+    // with a disabled stride would be a V1 spelled wrong (and would break
+    // resave byte-identity), so it is rejected as corrupt.
     parsed.coarse_stride = get_u64(in);
     if (parsed.coarse_stride == 0 ||
         parsed.coarse_stride > (std::uint64_t{1} << 32)) {
       throw ParseError("fleet checkpoint coarse stride implausible");
     }
+    parse_hierarchy_map(in, parsed);
     parsed.coarse_model =
         get_model_section(in, "fleet coarse model section");
-    const std::size_t coarse_rows =
-        ModelStack::coarse_grid(parsed.groups,
-                                static_cast<std::size_t>(
-                                    parsed.coarse_stride))
-            .size();
-    if (parsed.coarse_model->sensors() != coarse_rows) {
+    if (parsed.coarse_model->sensors() != parsed.coarse_grid_rows.size()) {
       throw ParseError(
-          "fleet coarse section row count disagrees with the partition");
+          "fleet coarse section row count disagrees with the coarse grid");
     }
     if (parsed.coarse_model->time_steps() != parsed.stream_position) {
       throw ParseError(
@@ -504,11 +495,6 @@ ParsedCheckpoint parse_any(BoundedReader& in) {
   }
   if (std::memcmp(magic, kFleetMagic2, sizeof magic) == 0) {
     return parse_fleet_body(in, /*v2=*/true);
-  }
-  if (std::memcmp(magic, kFleetMagic3, sizeof magic) == 0) {
-    throw ParseError(
-        "the IMRDFL3 delta container references sidecar part files; load "
-        "it through the file-path API");
   }
   throw ParseError("not an imrdmd pipeline/fleet checkpoint (bad magic)");
 }
@@ -638,8 +624,8 @@ void put_bytes(std::ostream& out, const std::string& bytes) {
 
 /// The IMRDFL1/IMRDFL2 preamble: version magic (V2 exactly when
 /// hierarchical), stage header, partition, and — V2 only — the hierarchy
-/// section with the replicated coarse model (canonicalized like every model
-/// section).
+/// section: stride, explicit coarse grid, interpolation map, and the
+/// replicated coarse model (canonicalized like every model section).
 void put_fleet_preamble(std::ostream& out, const Assessor& assessor,
                         bool canonical_bins) {
   const bool hierarchical = assessor.hierarchical();
@@ -655,6 +641,7 @@ void put_fleet_preamble(std::ostream& out, const Assessor& assessor,
   }
   if (hierarchical) {
     put_u64(out, assessor.coarse_stride());
+    CheckpointAccess::put_hierarchy_map(out, assessor);
     put_bytes(out, CheckpointAccess::model_section(assessor.coarse_model(),
                                                    canonical_bins));
   }
@@ -714,6 +701,19 @@ std::string CheckpointAccess::model_section(const IncrementalMrdmd& model,
   return std::move(buffer).str();
 }
 
+void CheckpointAccess::put_hierarchy_map(std::ostream& out,
+                                         const Assessor& assessor) {
+  const ModelStack& stack = assessor.stack_;
+  put_u64(out, stack.rows_.size());
+  for (std::size_t row : stack.rows_) put_u64(out, row);
+  put_u64(out, stack.interp_.size());
+  for (const auto& ip : stack.interp_) {
+    put_u64(out, ip.lo);
+    put_u64(out, ip.hi);
+    put_f64(out, ip.w);
+  }
+}
+
 std::vector<std::string> CheckpointAccess::owned_sections(
     const Assessor& assessor) {
   const std::size_t local_count = assessor.local_end_ - assessor.local_begin_;
@@ -741,12 +741,6 @@ void CheckpointAccess::save_fleet(std::ostream* out,
   // every rank throws here together — before any collective.
   IMRDMD_REQUIRE_ARG(assessor.chunks_processed_ >= 1,
                      "cannot checkpoint a fleet before its first chunk");
-  IMRDMD_REQUIRE_ARG(
-      !assessor.stack_.hierarchical() ||
-          assessor.stack_.coarse_grid_canonical(),
-      "an elastically grown hierarchical stack cannot be saved into the "
-      "IMRDFL1/IMRDFL2 containers (they re-derive the coarse grid on "
-      "load); enable the delta (IMRDFL3) checkpoint policy");
 
   std::vector<std::string> sections = owned_sections(assessor);
   if (assessor.comm_ != nullptr) {
@@ -775,404 +769,6 @@ void CheckpointAccess::save_fleet(std::ostream* out,
       assessor.config_.pipeline_options.imrdmd.mrdmd.parallel_bins);
   for (const std::string& section : sections) put_bytes(*out, section);
   if (!*out) throw Error("fleet checkpoint write failed");
-}
-
-void CheckpointAccess::save_fleet3(const std::string& path,
-                                   const Assessor& assessor) {
-  IMRDMD_REQUIRE_ARG(assessor.chunks_processed_ >= 1,
-                     "cannot checkpoint a fleet before its first chunk");
-  dist::Communicator* comm = assessor.comm_;
-  const std::size_t writers =
-      comm != nullptr ? static_cast<std::size_t>(comm->size()) : 1;
-  const std::size_t writer =
-      comm != nullptr ? static_cast<std::size_t>(comm->rank()) : 0;
-  const bool root = writer == 0;
-  const bool hierarchical = assessor.stack_.hierarchical();
-  const bool canonical_bins =
-      assessor.config_.pipeline_options.imrdmd.mrdmd.parallel_bins;
-
-  // Base rewrite on the first save of this engine's life and after an
-  // elastic growth (the journaled rows then have the pre-growth layout);
-  // otherwise append only the rows processed since the last save. Every
-  // input to this decision is replicated, so all ranks agree.
-  const bool need_base =
-      !assessor.delta_base_written_ || assessor.delta_force_compact_;
-  const std::size_t old_epoch = assessor.delta_epoch_;
-  const bool had_old_epoch = assessor.delta_base_written_;
-
-  if (need_base) {
-    // A monotonic epoch names the part files, so a base rewrite never
-    // touches the files the still-current main references — a crash
-    // before the main rewrite leaves the previous checkpoint whole.
-    const std::size_t epoch = assessor.delta_epoch_ + 1;
-    std::ostringstream part;
-    part.write(kPartMagic, sizeof kPartMagic);
-    const std::vector<std::string> sections = owned_sections(assessor);
-    const bool with_coarse = root && hierarchical;
-    put_u64(part, sections.size() + (with_coarse ? std::size_t{1} : 0));
-    if (with_coarse) {
-      put_bytes(part, model_section(assessor.stack_.coarse(), canonical_bins));
-    }
-    for (const std::string& section : sections) put_bytes(part, section);
-    const std::string bytes = std::move(part).str();
-    const std::string part_file = part_path(path, writer, epoch);
-    std::ofstream out(part_file, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.close();
-    if (!out) throw Error("delta checkpoint part write failed");
-    // Durable before rank 0's main file names these bytes (the manifest
-    // gather below orders every rank's sync before that rewrite): after a
-    // power loss a torn part would leave no loadable epoch, since the old
-    // epoch's part is removed once the new main is written.
-    sync_to_disk(part_file);
-    assessor.delta_part_bytes_ = bytes.size();
-    assessor.delta_part_digest_ =
-        fnv1a64(kFnvOffsetBasis, bytes.data(), bytes.size());
-    assessor.delta_epoch_ = epoch;
-    assessor.delta_base_chunks_ = assessor.chunks_processed_;
-    assessor.delta_base_position_ = assessor.snapshots_seen_;
-    // The base is the full current model state, so it subsumes whatever
-    // rows were pending.
-    assessor.delta_pending_.clear();
-    assessor.delta_base_written_ = true;
-    assessor.delta_force_compact_ = false;
-  } else {
-    std::ostringstream append;
-    for (const linalg::Mat& record : assessor.delta_pending_) {
-      put_mat(append, record);
-    }
-    const std::string bytes = std::move(append).str();
-    if (!bytes.empty()) {
-      const std::string part_file =
-          part_path(path, writer, assessor.delta_epoch_);
-      std::ofstream out(part_file, std::ios::binary | std::ios::app);
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      out.close();
-      if (!out) throw Error("delta checkpoint part append failed");
-      sync_to_disk(part_file);  // durable before the main names it
-    }
-    // The digest covers the bytes the main file will reference — a torn
-    // tail past them is truncated away on load.
-    assessor.delta_part_bytes_ += bytes.size();
-    assessor.delta_part_digest_ =
-        fnv1a64(assessor.delta_part_digest_, bytes.data(), bytes.size());
-    assessor.delta_pending_.clear();
-  }
-
-  // The manifest needs every writer's (byte count, digest). The digest
-  // travels as two exact 32-bit halves — doubles carry 32-bit integers
-  // exactly, a raw 64-bit reinterpretation could be NaN.
-  std::vector<std::uint64_t> all_bytes{assessor.delta_part_bytes_};
-  std::vector<std::uint64_t> all_digest{assessor.delta_part_digest_};
-  if (comm != nullptr) {
-    const double mine[3] = {
-        static_cast<double>(assessor.delta_part_bytes_),
-        static_cast<double>(assessor.delta_part_digest_ >> 32),
-        static_cast<double>(assessor.delta_part_digest_ & 0xffffffffull)};
-    const std::vector<std::vector<double>> gathered =
-        comm->gatherv(std::span<const double>(mine, 3), 0);
-    if (root) {
-      all_bytes.assign(writers, 0);
-      all_digest.assign(writers, 0);
-      for (std::size_t w = 0; w < writers; ++w) {
-        IMRDMD_REQUIRE_DIMS(gathered[w].size() == 3,
-                            "delta checkpoint manifest slot has the wrong "
-                            "length");
-        all_bytes[w] = static_cast<std::uint64_t>(gathered[w][0]);
-        all_digest[w] =
-            (static_cast<std::uint64_t>(gathered[w][1]) << 32) |
-            static_cast<std::uint64_t>(gathered[w][2]);
-      }
-    }
-  }
-
-  if (root) {
-    write_file_atomic(path, [&](std::ostream& out) {
-      out.write(kFleetMagic3, sizeof kFleetMagic3);
-      put_header(out, assessor.config_.pipeline_options,
-                 assessor.chunks_processed_, assessor.snapshots_seen_,
-                 assessor.zscore_stage_.state());
-      put_u64(out, assessor.sensors_);
-      put_u64(out, assessor.groups_.size());
-      for (const auto& group : assessor.groups_) {
-        put_u64(out, group.size());
-        for (std::size_t sensor : group) put_u64(out, sensor);
-      }
-      put_u64(out, assessor.stack_.coarse_stride());
-      if (hierarchical) {
-        // The explicit grid + interpolation map: after elastic growth the
-        // grid is no longer the pure function of (groups, stride), so the
-        // container must carry it.
-        const ModelStack& stack = assessor.stack_;
-        put_u64(out, stack.rows_.size());
-        for (std::size_t row : stack.rows_) put_u64(out, row);
-        put_u64(out, stack.interp_.size());
-        for (const auto& ip : stack.interp_) {
-          put_u64(out, ip.lo);
-          put_u64(out, ip.hi);
-          put_f64(out, ip.w);
-        }
-      }
-      put_u64(out, assessor.delta_epoch_);
-      put_u64(out, writers);
-      for (std::size_t w = 0; w < writers; ++w) {
-        put_u64(out, all_bytes[w]);
-        put_u64(out, all_digest[w]);
-      }
-      put_u64(out, assessor.delta_base_chunks_);
-      put_u64(out, assessor.delta_base_position_);
-      if (!out) throw Error("delta checkpoint manifest write failed");
-    });
-  }
-  if (need_base && had_old_epoch) {
-    // Old-epoch cleanup only after the new main is durable (the barrier
-    // orders every rank's removal after rank 0's rewrite). A crash before
-    // this point merely orphans the new epoch's files; a resumed process
-    // that died here orphans the old ones — both are garbage, never
-    // corruption, since the main always names its exact parts.
-    if (comm != nullptr) comm->barrier();
-    std::remove(part_path(path, writer, old_epoch).c_str());
-  }
-}
-
-RestoredAssessor CheckpointAccess::load_fleet3(
-    const std::string& path, BoundedReader& in, dist::Communicator* comm,
-    const AssessorResumeOptions& resume) {
-  ParsedCheckpoint parsed;
-  get_header(in, parsed);
-  parse_fleet_partition(in, parsed);
-
-  parsed.coarse_stride = get_u64(in);
-  if (parsed.coarse_stride > (std::uint64_t{1} << 32)) {
-    throw ParseError("fleet checkpoint coarse stride implausible");
-  }
-  const bool hierarchical = parsed.coarse_stride > 0;
-  if (hierarchical) {
-    const std::uint64_t grid_count = get_u64(in);
-    if (grid_count == 0 || grid_count > parsed.sensors) {
-      throw ParseError("fleet delta coarse grid implausible");
-    }
-    in.require(grid_count * sizeof(std::uint64_t), "fleet delta grid");
-    parsed.coarse_grid_rows.resize(grid_count);
-    for (auto& row : parsed.coarse_grid_rows) {
-      row = static_cast<std::size_t>(get_u64(in));
-      if (row >= parsed.sensors) {
-        throw ParseError("fleet delta coarse grid row out of range");
-      }
-    }
-    const std::uint64_t interp_count = get_u64(in);
-    if (interp_count != parsed.sensors) {
-      throw ParseError("fleet delta interpolation map count mismatch");
-    }
-    in.require(interp_count * (2 * sizeof(std::uint64_t) + sizeof(double)),
-               "fleet delta interpolation map");
-    parsed.interp_lo.resize(interp_count);
-    parsed.interp_hi.resize(interp_count);
-    parsed.interp_w.resize(interp_count);
-    for (std::uint64_t p = 0; p < interp_count; ++p) {
-      parsed.interp_lo[p] = get_u64(in);
-      parsed.interp_hi[p] = get_u64(in);
-      parsed.interp_w[p] = get_f64(in);
-      if (parsed.interp_lo[p] >= grid_count ||
-          parsed.interp_hi[p] >= grid_count) {
-        throw ParseError("fleet delta interpolation row out of range");
-      }
-    }
-  }
-
-  const std::uint64_t epoch = get_u64(in);
-  const std::uint64_t writers = get_u64(in);
-  if (writers == 0 || writers > (std::uint64_t{1} << 20)) {
-    throw ParseError("fleet delta writer count implausible");
-  }
-  in.require(writers * 2 * sizeof(std::uint64_t) + 2 * sizeof(std::uint64_t),
-             "fleet delta manifest");
-  std::vector<std::uint64_t> part_bytes(writers);
-  std::vector<std::uint64_t> part_digest(writers);
-  for (std::uint64_t w = 0; w < writers; ++w) {
-    part_bytes[w] = get_u64(in);
-    part_digest[w] = get_u64(in);
-  }
-  const std::uint64_t base_chunks = get_u64(in);
-  const std::uint64_t base_position = get_u64(in);
-  if (base_chunks == 0 || base_chunks > parsed.chunks_processed ||
-      base_position > parsed.stream_position) {
-    throw ParseError("fleet delta base counters implausible");
-  }
-  const std::size_t record_count =
-      static_cast<std::size_t>(parsed.chunks_processed - base_chunks);
-
-  // Every process reads every part file independently: the base sections
-  // restore in global group order (contiguous old-topology ownership), and
-  // the journaled records replay below at ANY new rank count.
-  std::vector<std::vector<linalg::Mat>> writer_records(writers);
-  std::vector<std::size_t> writer_rows(writers, 0);
-  for (std::size_t w = 0; w < writers; ++w) {
-    const auto range = rank_group_range(parsed.groups.size(), writers, w);
-    for (std::size_t g = range.first; g < range.second; ++g) {
-      writer_rows[w] += parsed.groups[g].size();
-    }
-    std::ifstream file(part_path(path, w, epoch),
-                       std::ios::binary | std::ios::ate);
-    if (!file) {
-      throw ParseError("delta checkpoint part missing: " +
-                       part_path(path, w, epoch));
-    }
-    // Size check BEFORE the allocation: a corrupted manifest length must
-    // fail as a truncated part, not as a giant buffer.
-    const auto actual = file.tellg();
-    if (actual < 0 ||
-        static_cast<std::uint64_t>(actual) < part_bytes[w]) {
-      throw ParseError("delta checkpoint part truncated: " +
-                       part_path(path, w, epoch));
-    }
-    file.seekg(0);
-    std::string data(static_cast<std::size_t>(part_bytes[w]), '\0');
-    file.read(data.data(), static_cast<std::streamsize>(data.size()));
-    if (static_cast<std::uint64_t>(file.gcount()) != part_bytes[w]) {
-      throw ParseError("delta checkpoint part truncated: " +
-                       part_path(path, w, epoch));
-    }
-    // A longer file is fine (a torn append past the manifest's bytes); a
-    // digest mismatch inside them is not.
-    if (fnv1a64(kFnvOffsetBasis, data.data(), data.size()) !=
-        part_digest[w]) {
-      throw ParseError("delta checkpoint part digest mismatch: " +
-                       part_path(path, w, epoch));
-    }
-    std::istringstream stream(std::move(data));
-    BoundedReader part(stream);
-    char magic[sizeof kPartMagic];
-    part.read(magic, sizeof magic, "part magic");
-    if (std::memcmp(magic, kPartMagic, sizeof magic) != 0) {
-      throw ParseError("not an imrdmd delta part (bad magic)");
-    }
-    const std::uint64_t sections = get_u64(part);
-    const std::uint64_t expected_sections =
-        (range.second - range.first) +
-        ((w == 0 && hierarchical) ? std::uint64_t{1} : 0);
-    if (sections != expected_sections) {
-      throw ParseError("delta checkpoint part section count mismatch");
-    }
-    if (w == 0 && hierarchical) {
-      parsed.coarse_model =
-          get_model_section(part, "fleet delta coarse section");
-      if (parsed.coarse_model->sensors() != parsed.coarse_grid_rows.size()) {
-        throw ParseError(
-            "fleet delta coarse section row count disagrees with the grid");
-      }
-      if (parsed.coarse_model->time_steps() != base_position) {
-        throw ParseError(
-            "fleet delta base position disagrees with the coarse model");
-      }
-    }
-    for (std::size_t g = range.first; g < range.second; ++g) {
-      parsed.models.push_back(
-          get_model_section(part, "fleet delta model section"));
-      if (parsed.models.back().sensors() != parsed.groups[g].size()) {
-        throw ParseError(
-            "fleet delta section row count disagrees with its group");
-      }
-      if (parsed.models.back().time_steps() != base_position) {
-        throw ParseError(
-            "fleet delta base position disagrees with a group model");
-      }
-    }
-    // Reserve against the bytes actually present, not the (corruptible)
-    // manifest counter — the loop below still parses exactly record_count
-    // records or fails on the bounded reader.
-    writer_records[w].reserve(std::min<std::size_t>(
-        record_count, part.remaining() / (2 * sizeof(std::uint64_t)) + 1));
-    for (std::size_t i = 0; i < record_count; ++i) {
-      linalg::Mat record = get_mat(part);
-      if (record.rows() != writer_rows[w] || record.cols() == 0) {
-        throw ParseError("delta checkpoint record shape mismatch");
-      }
-      writer_records[w].push_back(std::move(record));
-    }
-    if (part.remaining() != 0) {
-      throw ParseError("delta checkpoint part has trailing bytes");
-    }
-  }
-  check_stage_state(parsed);
-
-  // Cross-part consistency: every writer journaled the same chunk
-  // sequence, and together the records span base -> final position.
-  std::vector<std::size_t> record_cols(record_count);
-  std::uint64_t replayed = 0;
-  for (std::size_t i = 0; i < record_count; ++i) {
-    record_cols[i] = writer_records[0][i].cols();
-    for (std::size_t w = 1; w < writers; ++w) {
-      if (writer_records[w][i].cols() != record_cols[i]) {
-        throw ParseError(
-            "delta checkpoint parts disagree on a record's width");
-      }
-    }
-    replayed += record_cols[i];
-  }
-  if (base_position + replayed != parsed.stream_position) {
-    throw ParseError(
-        "delta checkpoint records do not span the recorded stream "
-        "position");
-  }
-
-  RestoredAssessor restored = assemble(std::move(parsed), comm, resume);
-  Assessor& assessor = restored.assessor;
-
-  // Replay: refold each journaled chunk through the engine's own fold — the
-  // identical deterministic operations the live engine ran (replicated
-  // coarse update, per-group fits), so the resumed models are bitwise the
-  // live ones. The fold touches only the models; the z-score stage and
-  // counters were restored as saved. Each sensor's raw row is found in the
-  // writer slices through the writing topology's ownership.
-  std::vector<std::pair<std::size_t, std::size_t>> slot_of(assessor.sensors_);
-  for (std::size_t w = 0; w < writers; ++w) {
-    const auto range = rank_group_range(assessor.groups_.size(), writers, w);
-    std::size_t row = 0;
-    for (std::size_t g = range.first; g < range.second; ++g) {
-      for (std::size_t sensor : assessor.groups_[g]) {
-        slot_of[sensor] = {w, row++};
-      }
-    }
-  }
-  const auto rows_of = [&](std::size_t record,
-                           const std::vector<std::size_t>& sensors) {
-    const std::size_t cols = record_cols[record];
-    linalg::Mat rows(sensors.size(), cols);
-    for (std::size_t i = 0; i < sensors.size(); ++i) {
-      const auto [w, row] = slot_of[sensors[i]];
-      const double* src = writer_records[w][record].data() + row * cols;
-      std::copy(src, src + cols, rows.data() + i * cols);
-    }
-    return rows;
-  };
-  std::vector<MagnitudeUpdate> updates;
-  for (std::size_t i = 0; i < record_count; ++i) {
-    assessor.fold(rows_of(i, assessor.owned_rows_),
-                  hierarchical ? rows_of(i, assessor.stack_.coarse_rows())
-                               : linalg::Mat(),
-                  record_cols[i], updates);
-  }
-
-  // Post-replay coherence: every restored model must have arrived exactly
-  // at the manifest's final position.
-  const std::size_t local_count =
-      assessor.local_end_ - assessor.local_begin_;
-  for (std::size_t l = 0; l < local_count; ++l) {
-    if (assessor.stack_.fine(l).time_steps() != restored.stream_position) {
-      throw ParseError("delta checkpoint replay out of sync with a model");
-    }
-  }
-  if (hierarchical && assessor.stack_.coarse().time_steps() !=
-                          restored.stream_position) {
-    throw ParseError(
-        "delta checkpoint replay out of sync with the coarse model");
-  }
-  // Hand the loaded epoch to the resumed journal: its next base write must
-  // pick a FRESH epoch — the main file it read still references this one,
-  // and a crash mid-rewrite must leave that reference loadable.
-  assessor.delta_epoch_ = static_cast<std::size_t>(epoch);
-  return restored;
 }
 
 RestoredAssessor CheckpointAccess::assemble(
@@ -1213,19 +809,10 @@ RestoredAssessor CheckpointAccess::assemble(
     // Every rank restores the full coarse replica (it is replicated at
     // runtime, so every rank needs it regardless of group ownership); the
     // coarse model runs on the caller thread and keeps its own options.
-    *assessor.stack_.coarse_ = std::move(*parsed.coarse_model);
-  }
-  if (!parsed.coarse_grid_rows.empty()) {
-    // V3 explicit hierarchy map: override the canonical grid the
-    // constructor derived — elastic growth appended rows the pure
-    // coarse_grid function cannot reproduce. Canonicality is re-derived,
-    // so an ungrown V3 resave may return to the compact containers.
+    // The container's grid and map replace the ones the constructor
+    // derived from the partition: after elastic growth they differ.
     ModelStack& stack = assessor.stack_;
-    stack.canonical_grid_ =
-        parsed.coarse_grid_rows ==
-        ModelStack::coarse_grid(assessor.groups_,
-                                static_cast<std::size_t>(
-                                    parsed.coarse_stride));
+    *stack.coarse_ = std::move(*parsed.coarse_model);
     stack.rows_ = std::move(parsed.coarse_grid_rows);
     stack.interp_.assign(parsed.interp_lo.size(), {});
     for (std::size_t p = 0; p < stack.interp_.size(); ++p) {
@@ -1283,13 +870,6 @@ void save_assessor_checkpoint(std::ostream* out, const Assessor& assessor) {
 
 void save_assessor_checkpoint_file(const std::string& path,
                                    const Assessor& assessor) {
-  if (assessor.config().checkpoint_policy.delta) {
-    // The delta policy selects the rank-local IMRDFL3 container: every
-    // process writes its own part file (no model-byte gather), rank 0
-    // atomically rewrites the manifest.
-    CheckpointAccess::save_fleet3(path, assessor);
-    return;
-  }
   if (assessor.rank() != 0) {
     // Peers only feed the gather; the file belongs to rank 0.
     CheckpointAccess::save_fleet(nullptr, assessor);
@@ -1306,33 +886,10 @@ RestoredAssessor load_assessor_checkpoint(std::istream& raw,
   return CheckpointAccess::assemble(parse_any(in), nullptr, resume);
 }
 
-namespace {
-
-/// Peeks the container magic of an opened checkpoint file: true when it is
-/// the IMRDFL3 delta container (the stream is then positioned after the
-/// magic), false otherwise (the stream is rewound to the start).
-bool peek_fleet3(std::ifstream& in) {
-  char magic[sizeof kFleetMagic3];
-  in.read(magic, sizeof magic);
-  if (in.gcount() == sizeof magic &&
-      std::memcmp(magic, kFleetMagic3, sizeof magic) == 0) {
-    return true;
-  }
-  in.clear();
-  in.seekg(0);
-  return false;
-}
-
-}  // namespace
-
 RestoredAssessor load_assessor_checkpoint_file(
     const std::string& path, const AssessorResumeOptions& resume) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw Error("cannot open checkpoint for reading: " + path);
-  if (peek_fleet3(in)) {
-    BoundedReader reader(in);
-    return CheckpointAccess::load_fleet3(path, reader, nullptr, resume);
-  }
   return load_assessor_checkpoint(in, resume);
 }
 
@@ -1348,10 +905,6 @@ RestoredAssessor load_assessor_checkpoint_file(
     const AssessorResumeOptions& resume) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw Error("cannot open checkpoint for reading: " + path);
-  if (peek_fleet3(in)) {
-    BoundedReader reader(in);
-    return CheckpointAccess::load_fleet3(path, reader, &comm, resume);
-  }
   return load_assessor_checkpoint(in, comm, resume);
 }
 

@@ -15,18 +15,18 @@
 //     stream position, the group partition, one length-prefixed model
 //     section per group). A flat engine writes the "IMRDFL1" container;
 //     a hierarchical engine writes "IMRDFL2", which inserts the coarse
-//     stride and one coarse-model section between the partition and the
-//     per-group sections. One writer serves every topology: each process
-//     serializes its owned groups' sections across its lanes, the
-//     distributed topology gathers them to rank 0 (a single process is the
-//     one-rank case), and the bytes are identical for any lane or rank
-//     count. The "IMRDFL3" delta container (CheckpointPolicy::delta) writes
-//     the same sections as its base and, on load, replays the journaled
-//     chunks through the engine's own fold.
-//   * Loads accept every container generation: "IMRDPL1" (written by the
-//     retired monolithic pipeline drivers; load-only, pinned by a golden
-//     file under tests/data/) and "IMRDFL1" load as stride-disabled flat
-//     stacks; "IMRDFL2" restores the hierarchy.
+//     stride, the explicit coarse grid and interpolation map, and one
+//     coarse-model section between the partition and the per-group
+//     sections — so an engine grown by add_sensors checkpoints like any
+//     other. One writer serves every topology: each process serializes
+//     its owned groups' sections across its lanes, the distributed
+//     topology gathers them to rank 0 (a single process is the one-rank
+//     case), and the bytes are identical for any lane or rank count.
+//   * Loads accept "IMRDPL1" (written by the retired monolithic pipeline
+//     drivers; load-only, pinned by a golden file under tests/data/) and
+//     "IMRDFL1", both as stride-disabled flat stacks; "IMRDFL2" restores
+//     the hierarchy. Any other magic, including the retired rank-local
+//     delta container's, fails with ParseError.
 //
 // Formats: little-endian, magic "IMRDMD1\n" / "IMRDPL1\n" / "IMRDFL1\n" /
 // "IMRDFL2\n", then length-prefixed sections. Every section is

@@ -12,14 +12,14 @@
 // to full sensor width.
 //
 // Determinism contract (relied on for the engine's lane/rank/depth bitwise
-// invariance): the coarse grid is a pure function of (groups, stride) — for
-// each group, in group order, every coarse_stride-th sensor of the group's
-// list (each group contributes at least its first sensor) — and
-// update_coarse is a deterministic function of the coarse grid rows and
-// the coarse model state, run unsharded on the caller thread. Every engine
-// replica feeds it the same coarse grid rows (read off the chunk, or
-// assembled from the ranks' slices), so the replicas agree bitwise
-// forever.
+// invariance): the coarse grid starts as a pure function of (groups,
+// stride) — for each group, in group order, every coarse_stride-th sensor
+// of the group's list (each group contributes at least its first sensor);
+// grow_coarse appends to it deterministically — and update_coarse is a
+// deterministic function of the coarse grid rows and the coarse model
+// state, run unsharded on the caller thread. Every engine replica feeds it
+// the same coarse grid rows (read off the chunk, or assembled from the
+// ranks' slices), so the replicas agree bitwise forever.
 #pragma once
 
 #include <cstddef>
@@ -100,34 +100,26 @@ class ModelStack {
   /// `new_rows_history` (|new_sensors| x coarse time_steps). The appended
   /// block's coarse rows (every stride-th of the list) are added at the END
   /// of the grid — the grid is no longer the pure coarse_grid(groups,
-  /// stride) function afterwards (coarse_grid_canonical() turns false, and
-  /// checkpoints must carry the explicit grid) — and the block's
-  /// interpolation map is self-contained (existing sensors keep their
-  /// frozen map; the block clamps at its own tail, like a group does).
+  /// stride) function afterwards, which is why the IMRDFL2 checkpoint
+  /// carries the explicit grid and map — and the block's interpolation map
+  /// is self-contained (existing sensors keep their frozen map; the block
+  /// clamps at its own tail, like a group does).
   /// Returns the new sensors' RESIDUAL history against the grown coarse
   /// model — what a fine model extends with. `new_sensor_total` is the
   /// machine sensor count after the growth.
   Mat grow_coarse(const std::vector<std::size_t>& new_sensors,
                   std::size_t new_sensor_total, const Mat& new_rows_history);
 
-  /// True while the grid is still the pure coarse_grid(groups, stride)
-  /// function of the engine's partition — i.e. no elastic growth happened.
-  /// The IMRDFL1/IMRDFL2 containers re-derive the grid on load, so only a
-  /// canonical stack may write them; a grown stack needs IMRDFL3's
-  /// explicit grid.
-  bool coarse_grid_canonical() const { return canonical_grid_; }
-
   /// The deterministic coarse grid for (groups, stride): for each group in
   /// order, sensors at positions 0, stride, 2*stride, ... of the group's
-  /// list. Pure function — checkpoint loads re-derive it to validate a
-  /// restored coarse model against the container's partition.
+  /// list. Pure function — enable_coarse starts from it.
   static std::vector<std::size_t> coarse_grid(
       const std::vector<std::vector<std::size_t>>& groups,
       std::size_t stride);
 
  private:
-  /// Checkpoint/resume (core/checkpoint.cpp) installs restored models
-  /// through this single access point.
+  /// Checkpoint/resume (core/checkpoint.cpp) reads and installs the models,
+  /// the grid and the interpolation map through this single access point.
   friend struct CheckpointAccess;
 
   /// Linear interpolation weights of one full-width sensor between two
@@ -148,7 +140,6 @@ class ModelStack {
   std::size_t stride_ = 0;
   std::vector<std::size_t> rows_;
   std::vector<Interp> interp_;
-  bool canonical_grid_ = true;
   std::unique_ptr<IncrementalMrdmd> coarse_;
   std::vector<std::unique_ptr<IncrementalMrdmd>> fine_;
 };

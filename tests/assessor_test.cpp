@@ -407,6 +407,16 @@ TEST(Assessor, ArmedCheckpointPolicyWithoutPathRejected) {
   EXPECT_THROW(Assessor{config}, InvalidArgument);
 }
 
+TEST(Assessor, DeltaCheckpointPolicyRejected) {
+  // The full container is the only checkpoint writer: with_delta(false) is
+  // a no-op and with_delta(true) is a typed configuration error.
+  core::CheckpointPolicy policy{2, "unused.ckpt"};
+  policy.with_delta(false);
+  EXPECT_EQ(policy.every_n, 2u);
+  EXPECT_EQ(policy.path, "unused.ckpt");
+  EXPECT_THROW(policy.with_delta(true), InvalidArgument);
+}
+
 TEST(Assessor, SensorCountRequiredOutsideMonolithicTopology) {
   AssessorConfig config;
   config.pipeline(assessor_pipeline_options())
@@ -522,11 +532,6 @@ TEST(DistributedAssessor, PeriodicCheckpointHookWritesPortableBytes) {
   // The engine's own periodic hook, driven through the distributed
   // topology, writes the same container the single-process hook writes —
   // and a single-process engine resumes it bitwise.
-  //
-  // Byte-identity across rank counts is a claim about the *full*
-  // containers, so delta is pinned off here (the IMRDFL3 manifest names
-  // one rank-local part per writer by design; its portability claim —
-  // resume at any rank count — is covered by the FL3 fleet tests).
   const Mat data = assessor_data();
   const auto groups = core::contiguous_groups(data.rows(), 3);
   const std::string dist_path = ::testing::TempDir() + "/dist_assessor.ckpt";
@@ -537,7 +542,7 @@ TEST(DistributedAssessor, PeriodicCheckpointHookWritesPortableBytes) {
   single.pipeline(assessor_pipeline_options())
       .sharded(groups)
       .sensors(data.rows())
-      .checkpoint(core::CheckpointPolicy{1, single_path}.with_delta(false));
+      .checkpoint(core::CheckpointPolicy{1, single_path});
   Assessor single_engine(single);
   MatChunkSource single_source(data, 256, 64);
   CollectingSink single_sink;
@@ -552,7 +557,7 @@ TEST(DistributedAssessor, PeriodicCheckpointHookWritesPortableBytes) {
         .sharded(groups, 1)
         .sensors(data.rows())
         .distributed(comm)
-        .checkpoint(core::CheckpointPolicy{1, dist_path}.with_delta(false));
+        .checkpoint(core::CheckpointPolicy{1, dist_path});
     Assessor assessor(config);
     std::optional<MatChunkSource> source;
     if (comm.rank() == 0) source.emplace(data, 256, 64);

@@ -486,312 +486,51 @@ TEST(DistributedFleetCheckpoint, CorruptWordsRejectedWithoutHugeAllocation) {
   }
 }
 
-// --- rank-local delta checkpoints (IMRDFL3) ------------------------------
+// --- elastic growth -----------------------------------------------------
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream copy;
-  copy << in.rdbuf();
-  return copy.str();
-}
-
-void write_file(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-core::CheckpointPolicy delta_policy(std::size_t every,
-                                    const std::string& path) {
-  core::CheckpointPolicy policy{every, path};
-  policy.with_delta(true);
-  return policy;
-}
-
-void remove_fl3(const std::string& path) {
-  std::remove(path.c_str());
-  for (int w = 0; w < 4; ++w) {
-    for (int e = 1; e < 6; ++e) {
-      std::remove((path + ".r" + std::to_string(w) + ".e" +
-                   std::to_string(e))
-                      .c_str());
-    }
-  }
-}
-
-TEST(FleetCheckpoint, DeltaContainerKillAndResumeBitwise) {
-  const Mat data = checkpoint_data();
-  for (const std::size_t stride : {std::size_t{0}, std::size_t{2}}) {
-    AssessorConfig config;
-    config.pipeline(checkpoint_pipeline_options())
-        .sharded(core::contiguous_groups(data.rows(), 5))
-        .sensors(data.rows())
-        .hierarchy(stride);
-    const auto reference = reference_run(data, config);
-    ASSERT_EQ(reference.size(), 3u);
-
-    const std::string path = ::testing::TempDir() + "/delta_fleet.ckpt";
-    remove_fl3(path);
-    AssessorConfig doomed = config;
-    doomed.checkpoint(delta_policy(1, path));
-    Assessor engine(doomed);
-    MatChunkSource source(data, 256, 64);
-    const auto before = run_collect(engine, source, 2);
-    ASSERT_EQ(before.size(), 2u);
-
-    // The main file is the new container; the model bytes live in the
-    // writer's epoch-named part next to it.
-    EXPECT_EQ(read_file(path).substr(0, 8), "IMRDFL3\n");
-    EXPECT_TRUE(std::filesystem::exists(path + ".r0.e1"));
-
-    // Resume with the journal armed: the continued run matches the
-    // uninterrupted reference bitwise and keeps delta-checkpointing.
-    AssessorResumeOptions resume;
-    resume.checkpoint = delta_policy(1, path);
-    core::RestoredAssessor restored =
-        core::load_assessor_checkpoint_file(path, resume);
-    EXPECT_EQ(restored.assessor.chunks_processed(), 2u);
-    EXPECT_EQ(restored.stream_position, 320u);
-    MatChunkSource rest(data, 256, 64);
-    rest.seek(static_cast<std::size_t>(restored.stream_position));
-    const auto after = run_collect(restored.assessor, rest);
-    ASSERT_EQ(after.size(), 1u);
-    expect_snapshot_equal(after[0], reference[2]);
-
-    // The resumed engine's base write took a FRESH epoch — the old main's
-    // part was never overwritten in place.
-    EXPECT_TRUE(std::filesystem::exists(path + ".r0.e2"));
-    core::RestoredAssessor again =
-        core::load_assessor_checkpoint_file(path);
-    EXPECT_EQ(again.assessor.chunks_processed(), 3u);
-    EXPECT_EQ(again.stream_position, 384u);
-    remove_fl3(path);
-  }
-}
-
-TEST(FleetCheckpoint, DeltaSaveAppendsInsteadOfRewritingTheBase) {
-  constexpr std::size_t kAppends = 5;
-  Rng rng(11);
-  const Mat data = planted_multiscale(15, 256 + kAppends * 64, 0.02, rng);
-  const std::string path = ::testing::TempDir() + "/delta_append.ckpt";
-  remove_fl3(path);
-  AssessorConfig config;
-  config.pipeline(checkpoint_pipeline_options())
-      .sharded(core::contiguous_groups(data.rows(), 5))
-      .sensors(data.rows())
-      .checkpoint(delta_policy(1, path));
-  Assessor engine(config);
-  MatChunkSource source(data, 256, 64);
-
-  run_collect(engine, source, 1);
-  const std::string part = path + ".r0.e1";
-  const auto base_main = std::filesystem::file_size(path);
-  auto part_bytes = std::filesystem::file_size(part);
-
-  // Every later save appends the chunk's raw rows to the SAME part (no
-  // epoch bump, no model re-serialization): each append is about one
-  // chunk payload, stays flat as the stream grows, and undercuts a full
-  // save of the same engine; the manifest stays the same size. O(chunk),
-  // not O(history).
-  const std::uintmax_t chunk_bytes = data.rows() * 64 * sizeof(double);
-  for (std::size_t save = 1; save <= kAppends; ++save) {
-    run_collect(engine, source, 1);
-    const auto appended_part = std::filesystem::file_size(part);
-    std::ostringstream full;
-    core::save_assessor_checkpoint(full, engine);
-    EXPECT_GT(appended_part, part_bytes) << "save " << save;
-    EXPECT_LE(appended_part - part_bytes, chunk_bytes + 256) << "save " << save;
-    EXPECT_LT(appended_part - part_bytes, full.str().size()) << "save " << save;
-    EXPECT_EQ(std::filesystem::file_size(path), base_main) << "save " << save;
-    part_bytes = appended_part;
-  }
-  EXPECT_EQ(engine.chunks_processed(), 1 + kAppends);
-  EXPECT_FALSE(std::filesystem::exists(path + ".r0.e2"));
-  remove_fl3(path);
-}
-
-TEST(FleetCheckpoint, DeltaFuzzRejectsTruncationCorruptionAndMissingParts) {
-  const Mat data = checkpoint_data();
-  const std::string path = ::testing::TempDir() + "/delta_fuzz.ckpt";
-  remove_fl3(path);
-  AssessorConfig config;
-  config.pipeline(checkpoint_pipeline_options())
-      .sharded(core::contiguous_groups(data.rows(), 5))
-      .sensors(data.rows())
-      .checkpoint(delta_policy(1, path));
-  Assessor engine(config);
-  MatChunkSource source(data, 256, 64);
-  run_collect(engine, source);
-  ASSERT_EQ(engine.chunks_processed(), 3u);
-
-  const std::string main_bytes = read_file(path);
-  const std::string part_name = path + ".r0.e1";
-  const std::string part_bytes = read_file(part_name);
-  ASSERT_GT(main_bytes.size(), 64u);
-  ASSERT_GT(part_bytes.size(), 64u);
-
-  // The stream-level API cannot reach the sidecar parts and says so.
-  {
-    std::stringstream in(main_bytes);
-    EXPECT_THROW(core::load_assessor_checkpoint(in), ParseError);
-  }
-
-  // Every truncation prefix of the MAIN manifest is rejected.
-  const std::size_t step = std::max<std::size_t>(1, main_bytes.size() / 41);
-  for (std::size_t cut = 0; cut < main_bytes.size(); cut += step) {
-    write_file(path, main_bytes.substr(0, cut));
-    EXPECT_THROW(core::load_assessor_checkpoint_file(path), ParseError)
-        << "main prefix of " << cut << " bytes";
-  }
-  write_file(path, main_bytes);
-
-  // Corrupt words in the main manifest never crash or over-allocate.
-  for (std::size_t offset = 8; offset + 8 <= main_bytes.size();
-       offset += 8) {
-    std::string corrupt = main_bytes;
-    const std::uint64_t garbage = ~std::uint64_t{0};
-    std::memcpy(corrupt.data() + offset, &garbage, sizeof garbage);
-    write_file(path, corrupt);
-    try {
-      core::load_assessor_checkpoint_file(path);
-    } catch (const Error&) {
-      // Expected for most offsets.
-    }
-  }
-  write_file(path, main_bytes);
-
-  // A truncated part (torn base write, lost tail) is rejected...
-  write_file(part_name, part_bytes.substr(0, part_bytes.size() - 1));
-  EXPECT_THROW(core::load_assessor_checkpoint_file(path), ParseError);
-  // ...as is a flipped byte anywhere inside the recorded range...
-  for (const std::size_t offset :
-       {std::size_t{9}, part_bytes.size() / 2, part_bytes.size() - 2}) {
-    std::string corrupt = part_bytes;
-    corrupt[offset] = static_cast<char>(corrupt[offset] ^ 0x40);
-    write_file(part_name, corrupt);
-    EXPECT_THROW(core::load_assessor_checkpoint_file(path), ParseError)
-        << "part byte " << offset;
-  }
-  // ...and a missing part.
-  std::remove(part_name.c_str());
-  EXPECT_THROW(core::load_assessor_checkpoint_file(path), ParseError);
-
-  // A TORN APPEND — bytes past the manifest's recorded length — is the one
-  // benign overhang: the loader reads exactly the recorded range.
-  write_file(part_name, part_bytes + "torn append garbage");
-  core::RestoredAssessor restored = core::load_assessor_checkpoint_file(path);
-  EXPECT_EQ(restored.assessor.chunks_processed(), 3u);
-  remove_fl3(path);
-}
-
-TEST(DistributedFleetCheckpoint, DeltaPartsResumeAtAnyRankCount) {
-  const Mat data = checkpoint_data();
-  for (const std::size_t stride : {std::size_t{0}, std::size_t{2}}) {
-    AssessorConfig config;
-    config.pipeline(checkpoint_pipeline_options())
-        .sharded(core::contiguous_groups(data.rows(), 5))
-        .sensors(data.rows())
-        .hierarchy(stride);
-    const auto reference = reference_run(data, config);
-    ASSERT_EQ(reference.size(), 3u);
-
-    // Kill a 2-rank run after two chunks: each rank wrote ITS OWN part
-    // (no gatherv of model bytes through rank 0).
-    const std::string path = ::testing::TempDir() + "/delta_dist.ckpt";
-    remove_fl3(path);
-    {
-      dist::World world(2);
-      world.run([&](dist::Communicator& comm) {
-        AssessorConfig local = config;
-        local.checkpoint(delta_policy(1, path));
-        Assessor engine(local.distributed(comm));
-        std::optional<MatChunkSource> source;
-        if (comm.rank() == 0) source.emplace(data, 256, 64);
-        CollectingSink sink;
-        StopCondition two;
-        two.max_chunks = 2;
-        engine.run_until(comm.rank() == 0 ? &*source : nullptr, sink, two);
-      });
-    }
-    EXPECT_TRUE(std::filesystem::exists(path + ".r0.e1"));
-    EXPECT_TRUE(std::filesystem::exists(path + ".r1.e1"));
-
-    // Resume single-process and at 3 ranks: every process replays the
-    // journal from the two writers' parts and continues bitwise.
-    {
-      core::RestoredAssessor restored =
-          core::load_assessor_checkpoint_file(path);
-      MatChunkSource rest(data, 256, 64);
-      rest.seek(static_cast<std::size_t>(restored.stream_position));
-      const auto after = run_collect(restored.assessor, rest);
-      ASSERT_EQ(after.size(), 1u);
-      expect_snapshot_equal(after[0], reference[2]);
-    }
-    {
-      dist::World world(3);
-      world.run([&](dist::Communicator& comm) {
-        core::RestoredAssessor restored =
-            core::load_assessor_checkpoint_file(path, comm);
-        EXPECT_EQ(restored.stream_position, 320u);
-        std::optional<MatChunkSource> source;
-        if (comm.rank() == 0) {
-          source.emplace(data, 256, 64);
-          source->seek(static_cast<std::size_t>(restored.stream_position));
-        }
-        CollectingSink sink;
-        restored.assessor.run_until(comm.rank() == 0 ? &*source : nullptr,
-                                    sink, StopCondition{});
-        const auto after = sink.take();
-        ASSERT_EQ(after.size(), 1u);
-        expect_snapshot_equal(after[0], reference[2]);
-      });
-    }
-    remove_fl3(path);
-  }
-}
-
-TEST(FleetCheckpoint, GrownHierarchicalStackRoundTripsThroughDelta) {
-  // The elastic case only the delta container can hold: a grown coarse
-  // grid (non-canonical) persists through the explicit grid + interp table
-  // in the IMRDFL3 manifest, and the resumed engine continues bitwise.
+TEST(FleetCheckpoint, GrownHierarchicalStackRoundTripsAndResaves) {
+  // add_sensors appends the new block's coarse rows at the end of the grid,
+  // which the partition alone cannot reproduce: the IMRDFL2 container
+  // carries the grid and interpolation map, so a grown engine saves,
+  // loads, resaves byte-identically and continues bitwise.
   Rng rng(23);
   const Mat data = planted_multiscale(18, 384, 0.02, rng);
   PipelineOptions pipeline = checkpoint_pipeline_options();
   pipeline.imrdmd.keep_history = true;
-  const std::string path = ::testing::TempDir() + "/delta_grown.ckpt";
-  remove_fl3(path);
 
-  auto make_engine = [&](const std::string& checkpoint_path) {
+  auto make_engine = [&] {
     AssessorConfig config;
     config.pipeline(pipeline)
         .sharded(core::contiguous_groups(15, 5))
         .sensors(15)
         .hierarchy(2);
-    if (!checkpoint_path.empty()) {
-      config.checkpoint(delta_policy(1, checkpoint_path));
-    }
     return Assessor(config);
   };
 
-  Assessor reference = make_engine("");
+  Assessor reference = make_engine();
   reference.process(data.block(0, 0, 15, 256));
   reference.add_sensors(4, data.block(15, 0, 3, 256));
   reference.process(data.block(0, 256, 18, 64));
   const AssessmentSnapshot expected =
       reference.process(data.block(0, 320, 18, 64));
 
-  Assessor doomed = make_engine(path);
+  Assessor doomed = make_engine();
   doomed.process(data.block(0, 0, 15, 256));
   doomed.add_sensors(4, data.block(15, 0, 3, 256));
   doomed.process(data.block(0, 256, 18, 64));
-  core::save_assessor_checkpoint_file(path, doomed);
+  std::stringstream bytes;
+  core::save_assessor_checkpoint(bytes, doomed);
+  ASSERT_EQ(bytes.str().substr(0, 8), "IMRDFL2\n");
 
-  core::RestoredAssessor restored = core::load_assessor_checkpoint_file(path);
+  core::RestoredAssessor restored = core::load_assessor_checkpoint(bytes);
   EXPECT_EQ(restored.assessor.sensors(), 18u);
   EXPECT_EQ(restored.assessor.groups()[4].size(), 6u);
   EXPECT_TRUE(restored.assessor.hierarchical());
+  std::stringstream resaved;
+  core::save_assessor_checkpoint(resaved, restored.assessor);
+  EXPECT_EQ(resaved.str(), bytes.str());
   expect_snapshot_equal(restored.assessor.process(data.block(0, 320, 18, 64)),
                         expected);
-  remove_fl3(path);
 }
 
 // --- atomic file-level writes -------------------------------------------

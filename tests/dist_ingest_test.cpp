@@ -333,22 +333,74 @@ TEST(DistributedFleetElastic, ArgumentDisagreementFailsEveryRankTogether) {
       InvalidArgument);
 }
 
-TEST(DistributedFleetElastic, GrownHierarchicalStackRefusesLegacySave) {
+TEST(DistributedFleetElastic, GrownHierarchicalStackCheckpointsAtAnyRankCount) {
+  // A grown coarse grid is no longer the canonical stride grid, so the
+  // IMRDFL2 container carries it explicitly: a grown engine at 2 ranks
+  // writes the single-process grown engine's bytes, and those bytes resume
+  // bitwise at 1 and 3 ranks.
   const Mat data = elastic_data();
-  AssessorConfig config;
-  config.pipeline(elastic_pipeline_options())
-      .sharded(core::contiguous_groups(15, 5))
-      .sensors(15)
-      .hierarchy(2);
-  Assessor assessor(config);
-  assessor.process(data.block(0, 0, 15, 256));
-  assessor.add_sensors(4, data.block(15, 0, 3, 256));
-  // The grown coarse grid is no longer the canonical stride grid, which
-  // the IMRDFL1/IMRDFL2 containers cannot express; only the delta
-  // (IMRDFL3) container can carry it.
-  std::ostringstream buffer;
-  EXPECT_THROW(core::save_assessor_checkpoint(buffer, assessor),
-               InvalidArgument);
+  const auto reference = run_elastic_single(data, 2);
+  ASSERT_EQ(reference.size(), 2u);
+  const auto make_config = [] {
+    AssessorConfig config;
+    config.pipeline(elastic_pipeline_options())
+        .sharded(core::contiguous_groups(15, 5))
+        .sensors(15)
+        .hierarchy(2);
+    return config;
+  };
+
+  std::string single_bytes;
+  {
+    Assessor assessor(make_config());
+    assessor.process(data.block(0, 0, 15, 256));
+    assessor.add_sensors(4, data.block(15, 0, 3, 256));
+    assessor.process(data.block(0, 256, 18, 64));
+    std::ostringstream buffer;
+    core::save_assessor_checkpoint(buffer, assessor);
+    single_bytes = buffer.str();
+  }
+  ASSERT_EQ(single_bytes.substr(0, 8), "IMRDFL2\n");
+
+  std::string dist_bytes;
+  {
+    dist::World world(2);
+    world.run([&](dist::Communicator& comm) {
+      AssessorConfig config = make_config();
+      Assessor assessor(config.distributed(comm));
+      assessor.process(data.block(0, 0, 15, 256));
+      assessor.add_sensors(4, data.block(15, 0, 3, 256));
+      assessor.process(data.block(0, 256, 18, 64));
+      std::ostringstream buffer;
+      core::save_assessor_checkpoint(comm.rank() == 0 ? &buffer : nullptr,
+                                     assessor);
+      if (comm.rank() == 0) dist_bytes = buffer.str();
+    });
+  }
+  EXPECT_EQ(dist_bytes, single_bytes);
+
+  {
+    std::istringstream in(single_bytes);
+    core::RestoredAssessor restored = core::load_assessor_checkpoint(in);
+    EXPECT_EQ(restored.assessor.sensors(), 18u);
+    expect_snapshots_equal(
+        {restored.assessor.process(data.block(0, 320, 18, 64))},
+        {reference[1]});
+  }
+  {
+    dist::World world(3);
+    std::vector<std::vector<AssessmentSnapshot>> per_rank(3);
+    world.run([&](dist::Communicator& comm) {
+      std::istringstream in(single_bytes);
+      core::RestoredAssessor restored =
+          core::load_assessor_checkpoint(in, comm);
+      per_rank[static_cast<std::size_t>(comm.rank())].push_back(
+          restored.assessor.process(data.block(0, 320, 18, 64)));
+    });
+    for (const auto& snapshots : per_rank) {
+      expect_snapshots_equal(snapshots, {reference[1]});
+    }
+  }
 }
 
 }  // namespace

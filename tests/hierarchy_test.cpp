@@ -5,17 +5,21 @@
 // bitwise invariance across lanes x
 // prefetch depths x ranks, the IMRDMD_HIERARCHY_STRIDE environment
 // default, and the versioned IMRDFL2 checkpoint container (round-trip,
-// rank-count byte invariance, and truncation/corruption fuzz through the
-// coarse section).
+// rank-count byte invariance, truncation/corruption fuzz through the coarse
+// grid, interpolation map and coarse section, and the retired layouts).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/assessor.hpp"
@@ -627,6 +631,51 @@ std::string small_hierarchy_bytes() {
   return buffer.str();
 }
 
+/// small_hierarchy_bytes' engine plus three sensors that join group 1
+/// after the first chunk: the saved coarse grid is no longer the partition's
+/// canonical grid.
+std::string small_grown_hierarchy_bytes() {
+  Rng rng(13);
+  const Mat data = planted_multiscale(12, 192, 0.02, rng);
+  PipelineOptions pipeline;
+  pipeline.imrdmd.mrdmd.max_levels = 3;
+  pipeline.imrdmd.mrdmd.dt = 1.0;
+  pipeline.imrdmd.keep_history = true;
+  pipeline.baseline = {-10.0, 10.0};
+  AssessorConfig config;
+  config.pipeline(pipeline)
+      .sharded(core::contiguous_groups(9, 3))
+      .sensors(9)
+      .hierarchy(2);
+  Assessor engine(config);
+  engine.process(data.block(0, 0, 9, 128));
+  engine.add_sensors(1, data.block(9, 0, 3, 128));
+  engine.process(data.block(0, 128, 12, 64));
+  std::stringstream buffer;
+  core::save_assessor_checkpoint(buffer, engine);
+  return buffer.str();
+}
+
+/// Byte range [first, second) of the coarse grid and interpolation map in
+/// an IMRDFL2 container: they end at the coarse section's length prefix,
+/// 8 bytes before the first nested model magic.
+std::pair<std::size_t, std::size_t> hierarchy_map_range(
+    const std::string& bytes) {
+  std::stringstream in(bytes);
+  const core::RestoredAssessor restored = core::load_assessor_checkpoint(in);
+  const std::size_t grid_rows = restored.assessor.coarse_model().sensors();
+  const std::size_t sensors = restored.assessor.sensors();
+  const std::size_t end = bytes.find("IMRDMD1\n") - 8;
+  const std::size_t begin =
+      end - 8 * (1 + grid_rows) - 8 * (1 + 3 * sensors);
+  std::uint64_t word = 0;
+  std::memcpy(&word, bytes.data() + begin - 8, sizeof word);
+  EXPECT_EQ(word, restored.assessor.coarse_stride());
+  std::memcpy(&word, bytes.data() + begin, sizeof word);
+  EXPECT_EQ(word, grid_rows);
+  return {begin, end};
+}
+
 TEST(FleetCheckpoint, HierarchyUsesTheVersionedContainerMagic) {
   const Mat data = hierarchy_data();
   // Flat engines keep writing the V1 magic — old readers stay compatible.
@@ -712,13 +761,15 @@ TEST(FleetCheckpoint, HierarchyEveryTruncationPointYieldsParseError) {
   // The dense truncation fuzz, through the V2 container: every prefix —
   // including cuts inside the stride word and the coarse model section —
   // must fail as ParseError, never a crash or a partial load.
-  const std::string bytes = small_hierarchy_bytes();
-  ASSERT_GT(bytes.size(), 64u);
-  const std::size_t step = std::max<std::size_t>(1, bytes.size() / 97);
-  for (std::size_t cut = 0; cut < bytes.size(); cut += step) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    EXPECT_THROW(core::load_assessor_checkpoint(truncated), ParseError)
-        << "prefix of " << cut << " bytes";
+  for (const std::string& bytes :
+       {small_hierarchy_bytes(), small_grown_hierarchy_bytes()}) {
+    ASSERT_GT(bytes.size(), 64u);
+    const std::size_t step = std::max<std::size_t>(1, bytes.size() / 97);
+    for (std::size_t cut = 0; cut < bytes.size(); cut += step) {
+      std::stringstream truncated(bytes.substr(0, cut));
+      EXPECT_THROW(core::load_assessor_checkpoint(truncated), ParseError)
+          << "prefix of " << cut << " bytes";
+    }
   }
 }
 
@@ -726,18 +777,63 @@ TEST(FleetCheckpoint, HierarchyCorruptWordsRejectedWithoutHugeAllocation) {
   // All-ones word flips at every u64 offset of the V2 container: the
   // coarse section's length prefixes and the stride word must be bounded
   // like every other section — throw a library Error or load, never OOM.
-  const std::string bytes = small_hierarchy_bytes();
-  for (std::size_t offset = 8; offset + 8 <= bytes.size(); offset += 8) {
-    std::string corrupt = bytes;
-    const std::uint64_t garbage = ~std::uint64_t{0};
-    std::memcpy(corrupt.data() + offset, &garbage, sizeof garbage);
-    std::stringstream in(corrupt);
-    try {
-      core::load_assessor_checkpoint(in);
-    } catch (const Error&) {
-      // Expected for most offsets.
+  for (const std::string& bytes :
+       {small_hierarchy_bytes(), small_grown_hierarchy_bytes()}) {
+    for (std::size_t offset = 8; offset + 8 <= bytes.size(); offset += 8) {
+      std::string corrupt = bytes;
+      const std::uint64_t garbage = ~std::uint64_t{0};
+      std::memcpy(corrupt.data() + offset, &garbage, sizeof garbage);
+      std::stringstream in(corrupt);
+      try {
+        core::load_assessor_checkpoint(in);
+      } catch (const Error&) {
+        // Expected for most offsets.
+      }
     }
   }
+}
+
+TEST(FleetCheckpoint, HierarchyMapWeightOutsideUnitIntervalRejected) {
+  const std::string bytes = small_grown_hierarchy_bytes();
+  const auto [begin, end] = hierarchy_map_range(bytes);
+  std::uint64_t grid_rows = 0;
+  std::memcpy(&grid_rows, bytes.data() + begin, sizeof grid_rows);
+  // The first map entry's weight: past the grid, the entry count, lo, hi.
+  const std::size_t weight = begin + 8 * (1 + grid_rows) + 8 + 16;
+  ASSERT_LT(weight + 8, end);
+  for (const double bad : {1.5, -0.25, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    std::string corrupt = bytes;
+    std::memcpy(corrupt.data() + weight, &bad, sizeof bad);
+    std::stringstream in(corrupt);
+    EXPECT_THROW(core::load_assessor_checkpoint(in), ParseError) << bad;
+  }
+}
+
+TEST(FleetCheckpoint, RetiredContainerLayoutsFailLoudly) {
+  // The retired delta container (magic "IMRDFL" '3') and the IMRDFL2
+  // layout that preceded the explicit coarse grid (stride word, then the
+  // coarse section) no longer load: both fail as ParseError through the
+  // stream and file-path APIs.
+  const std::string path = ::testing::TempDir() + "/retired_layout.ckpt";
+  for (const std::string& bytes :
+       {small_hierarchy_bytes(), small_grown_hierarchy_bytes()}) {
+    const auto [begin, end] = hierarchy_map_range(bytes);
+    std::string delta_magic = bytes;
+    ASSERT_EQ(delta_magic.substr(0, 8), "IMRDFL2\n");
+    delta_magic[6] = '3';
+    for (const std::string& retired :
+         {bytes.substr(0, begin) + bytes.substr(end), delta_magic}) {
+      std::stringstream in(retired);
+      EXPECT_THROW(core::load_assessor_checkpoint(in), ParseError);
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(retired.data(), static_cast<std::streamsize>(retired.size()));
+      }
+      EXPECT_THROW(core::load_assessor_checkpoint_file(path), ParseError);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(DistributedFleetCheckpoint, HierarchyBytesAreRankCountInvariant) {
